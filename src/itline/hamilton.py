@@ -1,8 +1,11 @@
 """Hamiltonicity oracles and the constructive lift from dominating trails.
 
-The oracles are exact: bitmask dynamic programming up to ``dp_cap`` vertices
-(default 20), depth-first backtracking with connectivity pruning above.  Both
-report a vertex-order witness when the answer is yes.
+The oracles are exact: one depth-first search over adjacency bitmasks on an
+explicit stack, with the classic backtracking prunes (Vandegriend & Culberson,
+JAIR 1998): the leaf-count cut, a must-stay-connected check, exit counts for
+every unvisited vertex, and most-constrained-neighbour-first ordering.  The
+search counts node expansions against the caller's budget and reports
+``Unknown`` when it runs out; a yes answer carries a vertex-order witness.
 
 The lifts turn a dominating (closed) trail of G into a hamiltonian path
 (cycle) of the line graph: walk the trail and splice every non-trail edge in
@@ -25,8 +28,6 @@ from .graphcore import (
     validate_trail,
 )
 from .linegraph import line_graph
-
-DEFAULT_DP_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -63,210 +64,164 @@ def is_hamiltonian_cycle(g: MultiGraph, order: tuple[int, ...]) -> bool:
     return all(order[(i + 1) % n] in nbrs[order[i]] for i in range(n))
 
 
-def _adj_masks(g: MultiGraph) -> list[int]:
-    masks = [0] * g.vertex_count
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
+def _search(g: MultiGraph, cycle: bool, budget: Budget) -> tuple[int, ...] | None:
+    """Exact search for a hamiltonian path or cycle; raises BudgetExhausted.
 
-
-def _dp_path(adj: list[int], n: int) -> tuple[int, ...] | None:
-    """Held–Karp reachability: dp[mask] = endpoints of paths covering mask."""
-    size = 1 << n
-    dp = [0] * size
-    for v in range(n):
-        dp[1 << v] = 1 << v
-    for mask in range(1, size):
-        if bin(mask).count("1") < 2:
-            continue
-        res = 0
-        mm = mask
-        while mm:
-            vbit = mm & -mm
-            mm ^= vbit
-            v = vbit.bit_length() - 1
-            if dp[mask ^ vbit] & adj[v]:
-                res |= vbit
-        dp[mask] = res
-    full = size - 1
-    if not dp[full]:
-        return None
-    endbit = dp[full] & -dp[full]
-    order = [endbit.bit_length() - 1]
-    mask = full
-    while bin(mask).count("1") > 1:
-        v = order[-1]
-        mask ^= 1 << v
-        cands = dp[mask] & adj[v]
-        prevbit = cands & -cands
-        order.append(prevbit.bit_length() - 1)
-    order.reverse()
-    return tuple(order)
-
-
-def _dp_cycle(adj: list[int], n: int) -> tuple[int, ...] | None:
-    """Anchor at vertex 0: dp over masks containing 0, close back to 0 at the end."""
-    size = 1 << n
-    dp = [0] * size
-    dp[1] = 1
-    for mask in range(1, size):
-        if not mask & 1 or bin(mask).count("1") < 2:
-            continue
-        res = 0
-        mm = mask ^ 1
-        while mm:
-            vbit = mm & -mm
-            mm ^= vbit
-            v = vbit.bit_length() - 1
-            if dp[mask ^ vbit] & adj[v]:
-                res |= vbit
-        dp[mask] = res
-    full = size - 1
-    closers = dp[full] & adj[0] & ~1
-    if not closers:
-        return None
-    endbit = closers & -closers
-    order = [endbit.bit_length() - 1]
-    mask = full
-    while True:
-        v = order[-1]
-        mask ^= 1 << v
-        if mask == 1:
-            break
-        cands = dp[mask] & adj[v]
-        prevbit = cands & -cands
-        order.append(prevbit.bit_length() - 1)
-    order.append(0)
-    order.reverse()
-    return tuple(order)
-
-
-def _backtrack(
-    g: MultiGraph, cycle: bool, budget: Budget
-) -> tuple[int, ...] | None:
-    """Exact DFS with must-stay-connected pruning; raises BudgetExhausted."""
+    A path has a leaf as an end, so a graph with more than two leaves has
+    none and a graph with a leaf is searched from its smallest leaf only; a
+    cycle is anchored at a vertex of least degree.
+    """
     n = g.vertex_count
     nbrs = [sorted(s) for s in g.neighbor_sets]
-    nbr_sets = g.neighbor_sets
-    leaf_like = [v for v in range(n) if len(nbr_sets[v]) <= 1]
+    adj = [0] * n
+    for v, ws in enumerate(nbrs):
+        for w in ws:
+            adj[v] |= 1 << w
+    by_degree = sorted(range(n), key=lambda v: (len(nbrs[v]), v))
+    leaves = [v for v in by_degree if len(nbrs[v]) <= 1]
     if cycle:
-        if leaf_like:
+        if leaves:
             return None
-        starts = [0]
+        starts = by_degree[:1]
+    elif len(leaves) > 2:
+        return None
     else:
-        if len(leaf_like) > 2:
-            return None
-        starts = [min(leaf_like)] if leaf_like else list(range(n))
-    visited = [False] * n
-    path: list[int] = []
-
-    def reach_ok(v: int) -> bool:
-        # Everything unvisited must stay reachable from the current endpoint
-        # through unvisited vertices only.
-        target = n - len(path)
-        if target == 0:
-            return True
-        seen = {v}
-        stack = [v]
-        count = 0
-        while stack:
-            u = stack.pop()
-            for w in nbr_sets[u]:
-                if w not in seen and not visited[w]:
-                    seen.add(w)
-                    stack.append(w)
-                    count += 1
-                    if count == target:
-                        return True
-        return count >= target
-
-    def dfs(v: int) -> bool:
-        budget.tick()
-        if len(path) == n:
-            return (0 in nbr_sets[v]) if cycle else True
-        if not reach_ok(v):
-            return False
-        for w in nbrs[v]:
-            if not visited[w]:
-                visited[w] = True
-                path.append(w)
-                if dfs(w):
-                    return True
-                path.pop()
-                visited[w] = False
-        return False
-
-    for s in starts:
-        visited = [False] * n
-        visited[s] = True
-        path = [s]
-        if dfs(s):
-            return tuple(path)
+        starts = leaves[:1] or by_degree
+    for start in starts:
+        order = _search_from(start, nbrs, adj, cycle, budget)
+        if order is not None:
+            return order
     return None
+
+
+def _search_from(
+    start: int, nbrs: list[list[int]], adj: list[int], cycle: bool, budget: Budget
+) -> tuple[int, ...] | None:
+    """Depth-first extension of a path from ``start`` on an explicit stack.
+
+    The exits of an unvisited vertex are its neighbours that are unvisited,
+    the current end, or (for a cycle) the start: in a finished cycle every
+    unvisited vertex uses two of them, in a finished path all but the far
+    end do.  Exit counts change only around the vertex a step leaves
+    behind, so a step costs work in proportion to its degree; the
+    must-stay-connected check runs only when the step had a choice, since
+    leaving a vertex with one unvisited neighbour cannot disconnect the rest.
+    Children are tried fewest unvisited neighbours first, ties by vertex id.
+    """
+    free = ((1 << len(adj)) - 1) ^ (1 << start)
+    exits = [len(ws) for ws in nbrs]
+    low_cap = 0 if cycle else 1
+    low = sum(1 for v, e in enumerate(exits) if e < 2 and v != start)
+    path = [start]
+
+    def children(v: int) -> list[int]:
+        # Reversed so that pop() yields the most constrained child first.
+        return sorted(
+            (w for w in nbrs[v] if free >> w & 1),
+            key=lambda w: ((adj[w] & free).bit_count(), w),
+            reverse=True,
+        )
+
+    def advance(v: int, w: int) -> None:
+        # The end moves from v to w, and v stops being an exit.
+        nonlocal free, low
+        free ^= 1 << w
+        low -= exits[w] < 2
+        if not (cycle and v == start):
+            for u in nbrs[v]:
+                exits[u] -= 1
+                low += exits[u] == 1 and free >> u & 1
+
+    def retreat(v: int, w: int) -> None:
+        # Exact undo of advance(v, w).
+        nonlocal free, low
+        if not (cycle and v == start):
+            for u in nbrs[v]:
+                low -= exits[u] == 1 and free >> u & 1
+                exits[u] += 1
+        free |= 1 << w
+        low += exits[w] < 2
+
+    def connected(w: int) -> bool:
+        reach = todo = adj[w] & free
+        while todo and reach != free:
+            bit = todo & -todo
+            todo ^= bit
+            new = adj[bit.bit_length() - 1] & free & ~reach
+            reach |= new
+            todo |= new
+        return reach == free
+
+    frames = [children(start)]
+    while frames:
+        if not frames[-1]:
+            frames.pop()
+            if len(path) > 1:
+                w = path.pop()
+                retreat(path[-1], w)
+            continue
+        v = path[-1]
+        w = frames[-1].pop()
+        budget.tick()
+        branching = (adj[v] & free) != 1 << w
+        advance(v, w)
+        path.append(w)
+        if not free:
+            if not cycle or adj[w] >> start & 1:
+                return tuple(path)
+        elif (
+            low <= low_cap
+            and (not cycle or adj[start] & free)
+            and (not branching or connected(w))
+        ):
+            frames.append(children(w))
+            continue
+        path.pop()
+        retreat(v, w)
+    return None
+
+
+def _oracle(
+    g: MultiGraph,
+    cycle: bool,
+    node_budget: int | None,
+    time_limit: float | None,
+) -> OracleAnswer | Unknown:
+    operation = "has_hamiltonian_cycle" if cycle else "has_hamiltonian_path"
+    if not is_connected(g):
+        raise DisconnectedGraphError("hamiltonicity oracle requires a connected graph")
+    n = g.vertex_count
+    if n == 1:
+        return OracleAnswer(True, (0,))
+    if cycle and n == 2:
+        ok = sum(1 for e in g.edges if set(e) == {0, 1}) >= 2
+        return OracleAnswer(ok, (0, 1) if ok else None)
+    budget = Budget(node_budget, time_limit)
+    try:
+        order = _search(g, cycle, budget)
+    except BudgetExhausted as exc:
+        return Unknown(operation, exc.spent, f"search on {n} vertices")
+    return OracleAnswer(order is not None, order)
 
 
 def has_hamiltonian_path(
     g: MultiGraph,
     *,
-    dp_cap: int = DEFAULT_DP_CAP,
-    method: str = "auto",
     node_budget: int | None = None,
     time_limit: float | None = None,
 ) -> OracleAnswer | Unknown:
     """Exact traceability oracle with a vertex-order witness."""
-    if not is_connected(g):
-        raise DisconnectedGraphError("hamiltonicity oracle requires a connected graph")
-    n = g.vertex_count
-    if n == 1:
-        return OracleAnswer(True, (0,))
-    if method not in ("auto", "dp", "backtracking"):
-        raise InputError(f"unknown method {method!r}")
-    use_dp = method == "dp" or (method == "auto" and n <= dp_cap)
-    if use_dp:
-        order = _dp_path(_adj_masks(g), n)
-        return OracleAnswer(order is not None, order)
-    budget = Budget(node_budget, time_limit)
-    try:
-        order = _backtrack(g, cycle=False, budget=budget)
-    except BudgetExhausted as exc:
-        return Unknown(
-            "has_hamiltonian_path", exc.spent, f"backtracking on {n} vertices"
-        )
-    return OracleAnswer(order is not None, order)
+    return _oracle(g, False, node_budget, time_limit)
 
 
 def has_hamiltonian_cycle(
     g: MultiGraph,
     *,
-    dp_cap: int = DEFAULT_DP_CAP,
-    method: str = "auto",
     node_budget: int | None = None,
     time_limit: float | None = None,
 ) -> OracleAnswer | Unknown:
     """Exact hamiltonicity oracle with a vertex-order witness."""
-    if not is_connected(g):
-        raise DisconnectedGraphError("hamiltonicity oracle requires a connected graph")
-    n = g.vertex_count
-    if n == 1:
-        return OracleAnswer(True, (0,))
-    if n == 2:
-        ok = sum(1 for e in g.edges if set(e) == {0, 1}) >= 2
-        return OracleAnswer(ok, (0, 1) if ok else None)
-    if method not in ("auto", "dp", "backtracking"):
-        raise InputError(f"unknown method {method!r}")
-    use_dp = method == "dp" or (method == "auto" and n <= dp_cap)
-    if use_dp:
-        order = _dp_cycle(_adj_masks(g), n)
-        return OracleAnswer(order is not None, order)
-    budget = Budget(node_budget, time_limit)
-    try:
-        order = _backtrack(g, cycle=True, budget=budget)
-    except BudgetExhausted as exc:
-        return Unknown(
-            "has_hamiltonian_cycle", exc.spent, f"backtracking on {n} vertices"
-        )
-    return OracleAnswer(order is not None, order)
+    return _oracle(g, True, node_budget, time_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -291,31 +246,39 @@ def _line_trail(lg: MultiGraph, seq: list[int], closed: bool) -> Trail:
     return Trail(tuple(verts), tuple(eids), closed or len(verts) == 1)
 
 
+def _splice(g: MultiGraph, t: Trail) -> list[int]:
+    """Line-graph vertex sequence of a dominating trail of ``g``.
+
+    Trail edges appear in trail order; every other edge is spliced in just
+    before the trail leaves the first position that meets it, ascending edge
+    id within a splice block.  A nontrivial closed trail skips position 0:
+    the start reappears last, so its block follows the final trail edge and
+    the sequence closes up into a cycle.
+    """
+    first = 1 if t.closed and not t.is_trivial else 0
+    first_pos: dict[int, int] = {}
+    for i in range(first, len(t.vertices)):
+        first_pos.setdefault(t.vertices[i], i)
+    on_trail = set(t.edge_ids)
+    pendant: list[list[int]] = [[] for _ in t.vertices]
+    for eid, (u, v) in enumerate(g.edges):
+        if eid not in on_trail:
+            pendant[min(first_pos[x] for x in (u, v) if x in first_pos)].append(eid)
+    seq: list[int] = []
+    for i, block in enumerate(pendant):
+        seq.extend(block)
+        if i < len(t.edge_ids):
+            seq.append(t.edge_ids[i])
+    return seq
+
+
 def lift_trail_to_path(g: MultiGraph, t: Trail) -> Trail:
     """Hamiltonian path of the line graph built from a dominating trail of ``g``.
 
-    Trail edges appear in trail order; every other edge is spliced in at the
-    first visit of one of its endpoints, ascending edge id within a splice
-    block.  The result is verified before being returned.
+    The result is verified before being returned.
     """
     _check_dominating(g, t)
-    first_pos: dict[int, int] = {}
-    for i, v in enumerate(t.vertices):
-        first_pos.setdefault(v, i)
-    on_trail = set(t.edge_ids)
-    pendant: list[list[int]] = [[] for _ in range(len(t.vertices))]
-    for eid, (u, v) in enumerate(g.edges):
-        if eid in on_trail:
-            continue
-        pos = min(
-            (first_pos[x] for x in (u, v) if x in first_pos),
-        )
-        pendant[pos].append(eid)
-    seq: list[int] = []
-    for i in range(len(t.vertices)):
-        seq.extend(pendant[i])
-        if i < len(t.edge_ids):
-            seq.append(t.edge_ids[i])
+    seq = _splice(g, t)
     lg = line_graph(g).graph
     if not is_hamiltonian_path(lg, tuple(seq)):
         raise GraphError("internal: lifted sequence is not a hamiltonian path")
@@ -329,26 +292,7 @@ def lift_closed_trail_to_cycle(g: MultiGraph, t: Trail) -> Trail:
     if g.edge_count < 3:
         raise InputError("cycle lift requires at least three edges")
     _check_dominating(g, t)
-    if t.is_trivial:
-        # Star case: every edge shares the trail vertex, any order is a cycle.
-        seq = list(range(g.edge_count))
-    else:
-        # Positions 1..t cover every trail vertex (the start reappears last),
-        # so splicing after each trail edge closes up into a cycle.
-        first_pos: dict[int, int] = {}
-        for i in range(1, len(t.vertices)):
-            first_pos.setdefault(t.vertices[i], i)
-        on_trail = set(t.edge_ids)
-        pendant: list[list[int]] = [[] for _ in range(len(t.vertices))]
-        for eid, (u, v) in enumerate(g.edges):
-            if eid in on_trail:
-                continue
-            pos = min(first_pos[x] for x in (u, v) if x in first_pos)
-            pendant[pos].append(eid)
-        seq = []
-        for i in range(1, len(t.vertices)):
-            seq.append(t.edge_ids[i - 1])
-            seq.extend(pendant[i])
+    seq = _splice(g, t)
     lg = line_graph(g).graph
     if not is_hamiltonian_cycle(lg, tuple(seq)):
         raise GraphError("internal: lifted sequence is not a hamiltonian cycle")

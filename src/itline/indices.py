@@ -22,11 +22,7 @@ from .graphcore import (
     diameter,
     is_connected,
 )
-from .hamilton import (
-    DEFAULT_DP_CAP,
-    has_hamiltonian_cycle,
-    has_hamiltonian_path,
-)
+from .hamilton import has_hamiltonian_cycle, has_hamiltonian_path
 from .linegraph import CapExceededError, EdgelessGraphError, iterated_line_graph
 from .structure import branches, find_dominating_trail, max_trail
 
@@ -78,16 +74,13 @@ def _trail_from_order(g: MultiGraph, order: tuple[int, ...]) -> Trail:
 def hamiltonian_path_index(
     g: MultiGraph,
     *,
-    dp_cap: int = DEFAULT_DP_CAP,
     node_budget: int | None = None,
     time_limit: float | None = None,
 ) -> IndexResult | Unknown:
     """Least number of line-graph iterations until a hamiltonian path exists."""
     if not is_connected(g):
         raise DisconnectedGraphError("hamiltonian_path_index requires a connected graph")
-    answer = has_hamiltonian_path(
-        g, dp_cap=dp_cap, node_budget=node_budget, time_limit=time_limit
-    )
+    answer = has_hamiltonian_path(g, node_budget=node_budget, time_limit=time_limit)
     if isinstance(answer, Unknown):
         return Unknown("hamiltonian_path_index", answer.budget_spent, answer.detail)
     if answer.value:
@@ -122,7 +115,6 @@ def hamiltonian_path_index(
 def hamiltonian_index(
     g: MultiGraph,
     *,
-    dp_cap: int = DEFAULT_DP_CAP,
     node_budget: int | None = None,
     time_limit: float | None = None,
 ) -> IndexResult | Unknown:
@@ -134,9 +126,7 @@ def hamiltonian_index(
         raise DisconnectedGraphError("hamiltonian_index requires a connected graph")
     if is_path_graph(g):
         raise PathHasNoIndexError("paths have no hamiltonian index")
-    answer = has_hamiltonian_cycle(
-        g, dp_cap=dp_cap, node_budget=node_budget, time_limit=time_limit
-    )
+    answer = has_hamiltonian_cycle(g, node_budget=node_budget, time_limit=time_limit)
     if isinstance(answer, Unknown):
         return Unknown("hamiltonian_index", answer.budget_spent, answer.detail)
     if answer.value:
@@ -296,7 +286,6 @@ def direct_index_cross_check(
     claimed: IndexResult,
     *,
     build_cap: int = 5000,
-    dp_cap: int = DEFAULT_DP_CAP,
     node_budget: int | None = None,
     time_limit: float | None = None,
 ) -> CrossCheck:
@@ -314,10 +303,7 @@ def direct_index_cross_check(
     try:
         if claimed.value >= 1:
             below = oracle(
-                level(claimed.value - 1),
-                dp_cap=dp_cap,
-                node_budget=node_budget,
-                time_limit=time_limit,
+                level(claimed.value - 1), node_budget=node_budget, time_limit=time_limit
             )
             if isinstance(below, Unknown):
                 return CrossCheck("cap_exceeded", f"oracle undecided at level {claimed.value - 1}")
@@ -326,12 +312,7 @@ def direct_index_cross_check(
                     "mismatch",
                     f"level {claimed.value - 1} already satisfies the {claimed.kind} target",
                 )
-        at = oracle(
-            level(claimed.value),
-            dp_cap=dp_cap,
-            node_budget=node_budget,
-            time_limit=time_limit,
-        )
+        at = oracle(level(claimed.value), node_budget=node_budget, time_limit=time_limit)
         if isinstance(at, Unknown):
             return CrossCheck("cap_exceeded", f"oracle undecided at level {claimed.value}")
         if not at.value:
@@ -350,7 +331,6 @@ def with_cross_check(
     result: IndexResult,
     *,
     build_cap: int = 5000,
-    dp_cap: int = DEFAULT_DP_CAP,
     node_budget: int | None = None,
     time_limit: float | None = None,
 ) -> IndexResult:
@@ -358,7 +338,6 @@ def with_cross_check(
         g,
         result,
         build_cap=build_cap,
-        dp_cap=dp_cap,
         node_budget=node_budget,
         time_limit=time_limit,
     )

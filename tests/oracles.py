@@ -1,8 +1,8 @@
 """Independent brute-force oracles and fixture graphs for the test suite.
 
 Everything here deliberately avoids the package's own algorithms: distances
-via Floyd-Warshall, traceability via permutations, branches via filtered path
-enumeration, witness nonemptiness via raw subset enumeration.  These are the
+via Floyd-Warshall, traceability via permutations or a Held-Karp subset
+dynamic program, branches via filtered path enumeration, witness nonemptiness via raw subset enumeration.  These are the
 second route for every dual-checked result.
 """
 
@@ -60,6 +60,43 @@ def brute_is_hamiltonian(g: MultiGraph) -> bool:
         if all(cyc[(i + 1) % n] in nbrs[cyc[i]] for i in range(n)):
             return True
     return False
+
+
+def _adjacency_masks(g: MultiGraph) -> list[int]:
+    return [sum(1 << w for w in g.neighbor_sets[v]) for v in range(g.vertex_count)]
+
+
+def held_karp_is_traceable(g: MultiGraph) -> bool:
+    """Held-Karp reachability: ends[mask] is the set of vertices that can end
+    a path through exactly the vertices of mask."""
+    n = g.vertex_count
+    adj = _adjacency_masks(g)
+    ends = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        if mask & (mask - 1) == 0:
+            ends[mask] = mask
+            continue
+        for v in range(n):
+            if mask >> v & 1 and ends[mask ^ (1 << v)] & adj[v]:
+                ends[mask] |= 1 << v
+    return ends[(1 << n) - 1] != 0
+
+
+def held_karp_is_hamiltonian(g: MultiGraph) -> bool:
+    """Held-Karp over paths that start at vertex 0, closed by an edge back to 0."""
+    n = g.vertex_count
+    if n == 1:
+        return True
+    if n == 2:
+        return sum(1 for e in g.edges if set(e) == {0, 1}) >= 2
+    adj = _adjacency_masks(g)
+    ends = [0] * (1 << n)
+    ends[1] = 1
+    for mask in range(3, 1 << n, 2):
+        for v in range(1, n):
+            if mask >> v & 1 and ends[mask ^ (1 << v)] & adj[v]:
+                ends[mask] |= 1 << v
+    return ends[(1 << n) - 1] & adj[0] != 0
 
 
 def brute_branches(g: MultiGraph) -> set[frozenset[int]]:

@@ -6,6 +6,7 @@ do so explicitly and are never counted as confirmation.
 """
 
 import time
+from collections import Counter
 
 from itline.budget import Unknown
 from itline.eup import VARIANT_EU, VARIANT_EUP, check_conditions, find_witness
@@ -67,6 +68,10 @@ def test_criterion_2_main_theorem_level2(corpus6_3e):
     assert report.mismatches == 0
     assert report.unknowns == 0
     assert report.agreements == 140
+    # L^2(G) has at most 20 vertices on 96 graphs, where the direct oracle
+    # confirms the ground truth; the other 44 skip the cross-check.
+    tally = Counter(rec["cross_check"] for rec in report.records)
+    assert tally == {"agree": 96, "skipped": 44}
     elapsed = time.monotonic() - start
     assert elapsed < 600, f"criterion 2 took {elapsed:.1f}s"
     _report(2, f"level-2 equivalence on {len(corpus6_3e)} graphs in {elapsed:.0f}s")

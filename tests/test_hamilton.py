@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from itline.budget import Unknown
-from itline.families import complete, cycle, fig1, fig2, path, star, two_cycle
+from itline.families import complete, cycle, fig1, fig2, fig3, fig4b, path, star, two_cycle
 from itline.graphcore import InputError, MultiGraph, Trail, trivial_trail
 from itline.hamilton import (
     has_hamiltonian_cycle,
@@ -14,11 +14,17 @@ from itline.hamilton import (
     lift_closed_trail_to_cycle,
     lift_trail_to_path,
 )
-from itline.linegraph import line_graph
+from itline.linegraph import iterated_line_graph, line_graph
 from itline.structure import find_dominating_trail
 
 from .conftest import connected_multigraphs
-from .oracles import brute_is_hamiltonian, brute_is_traceable, petersen
+from .oracles import (
+    brute_is_hamiltonian,
+    brute_is_traceable,
+    held_karp_is_hamiltonian,
+    held_karp_is_traceable,
+    petersen,
+)
 
 
 def test_path_graph_oracles():
@@ -32,11 +38,9 @@ def test_claw_not_traceable():
 
 
 def test_petersen_traceable_not_hamiltonian():
-    # Frozen via the 10-vertex dynamic program and confirmed by backtracking.
     g = petersen()
-    for method in ("dp", "backtracking"):
-        assert has_hamiltonian_path(g, method=method).value
-        assert not has_hamiltonian_cycle(g, method=method).value
+    assert has_hamiltonian_path(g).value
+    assert not has_hamiltonian_cycle(g).value
 
 
 def test_two_cycle_is_hamiltonian():
@@ -63,12 +67,12 @@ def test_witness_orders_verify():
 
 
 def test_backtracking_budget_exhaustion_is_unknown():
-    result = has_hamiltonian_path(petersen(), method="backtracking", node_budget=2)
+    result = has_hamiltonian_path(petersen(), node_budget=2)
     assert isinstance(result, Unknown)
 
 
 @settings(deadline=None)
-@given(connected_multigraphs(max_vertices=6, max_extra_edges=4))
+@given(connected_multigraphs(max_vertices=7, max_extra_edges=4))
 def test_oracles_agree_with_permutation_check(g):
     assert has_hamiltonian_path(g).value == brute_is_traceable(g)
     assert has_hamiltonian_cycle(g).value == brute_is_hamiltonian(g)
@@ -77,12 +81,42 @@ def test_oracles_agree_with_permutation_check(g):
 @settings(deadline=None)
 @given(connected_multigraphs(max_vertices=7, max_extra_edges=4))
 def test_dp_and_backtracking_agree(g):
-    dp = has_hamiltonian_path(g, method="dp")
-    bt = has_hamiltonian_path(g, method="backtracking")
-    assert dp.value == bt.value
-    dpc = has_hamiltonian_cycle(g, method="dp")
-    btc = has_hamiltonian_cycle(g, method="backtracking")
-    assert dpc.value == btc.value
+    # The Held-Karp subset dynamic program lives in the test oracles only; the
+    # package answers by backtracking search.
+    assert has_hamiltonian_path(g).value == held_karp_is_traceable(g)
+    assert has_hamiltonian_cycle(g).value == held_karp_is_hamiltonian(g)
+
+
+def test_hamiltonian_second_line_graph_within_small_budget():
+    # A 20-vertex L^2(G) on which a search without exit-count pruning and
+    # most-constrained-first ordering expands millions of nodes.
+    g = MultiGraph(6, ((0, 2), (2, 3), (0, 4), (1, 4), (3, 4), (1, 5), (2, 5), (3, 5), (4, 5)))
+    l2 = iterated_line_graph(g, 2)
+    assert l2.vertex_count == 20
+    answer = has_hamiltonian_cycle(l2, node_budget=100_000)
+    assert answer.value and is_hamiltonian_cycle(l2, answer.order)
+
+
+@pytest.mark.parametrize(
+    "g, cycle_wanted",
+    [
+        (petersen(), True),
+        (fig1(), False),
+        (fig3(1, 6), False),
+        (line_graph(fig4b(1)).graph, False),
+    ],
+    ids=["petersen-cycle", "fig1-path", "fig3(1,6)-path", "L(fig4b(1))-path"],
+)
+def test_no_instances_are_refuted(g, cycle_wanted):
+    oracle = has_hamiltonian_cycle if cycle_wanted else has_hamiltonian_path
+    assert oracle(g).value is False
+
+
+def test_long_paths_and_cycles_need_no_recursion():
+    assert has_hamiltonian_path(path(1500)).value
+    assert has_hamiltonian_path(cycle(1500)).value
+    answer = has_hamiltonian_cycle(cycle(1500))
+    assert answer.value and is_hamiltonian_cycle(cycle(1500), answer.order)
 
 
 # --- lifts ------------------------------------------------------------------

@@ -110,6 +110,16 @@ def test_graph_id_formats():
     assert graph_id(multi).startswith("multi-")
 
 
+def test_graph_id_is_isomorphism_invariant_for_multigraphs():
+    a = MultiGraph(3, ((0, 1), (0, 1), (1, 2)))
+    b = MultiGraph(3, ((1, 2), (1, 2), (0, 1)))
+    assert graph_id(a) == graph_id(b)
+    assert graph_id(a) != graph_id(MultiGraph(3, ((0, 1), (0, 1), (0, 1))))
+    tail = MultiGraph(4, ((0, 1), (0, 1), (1, 2), (2, 3)))
+    claw = MultiGraph(4, ((0, 1), (0, 1), (1, 2), (1, 3)))
+    assert graph_id(tail) != graph_id(claw)
+
+
 # --- campaigns ----------------------------------------------------------------
 
 

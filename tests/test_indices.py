@@ -31,6 +31,10 @@ def test_path_index_of_paths_is_zero():
         assert hamiltonian_path_index(path(n)).value == 0
 
 
+def test_path_index_of_long_path_needs_no_recursion():
+    assert hamiltonian_path_index(path(1500)).value == 0
+
+
 def test_path_index_of_stars():
     for m in (3, 4, 6):
         r = hamiltonian_path_index(star(m))
