@@ -19,15 +19,12 @@ from .graphcore import (
     SubgraphH,
     Trail,
     connected_components,
-    degree,
     diameter,
-    distinct_neighbors,
     incident_edges,
     is_connected,
     odd_vertices,
     parse_edgelist,
     parse_graph6,
-    serialize,
     subgraph,
     subgraph_distance,
     to_edgelist,

@@ -131,43 +131,29 @@ def _cmd_check_eup(args) -> int:
 
 def _index_payload(g: MultiGraph, args) -> dict:
     payload: dict = {"graph_id": graph_id(g)}
-    want_hp = args.hp or not args.h
-    want_h = args.h or not args.hp
-    if want_hp:
-        hp = hamiltonian_path_index(g, node_budget=args.budget, time_limit=args.timeout)
-        if isinstance(hp, Unknown):
-            payload["hp"] = None
-            payload["hp_unknown"] = hp.detail
-        else:
-            if args.cross_check:
-                hp = with_cross_check(g, hp)
-            payload["hp"] = hp.value
-            payload["hp_method"] = hp.method
-            if hp.cross_check:
-                payload.setdefault("checks", {})["hp_cross_check"] = {
-                    "status": hp.cross_check.status,
-                    "detail": hp.cross_check.detail,
-                }
-    if want_h:
+    either = args.hp or args.h
+    for key, index_fn in (("hp", hamiltonian_path_index), ("h", hamiltonian_index)):
+        if either and not getattr(args, key):
+            continue
         try:
-            h = hamiltonian_index(g, node_budget=args.budget, time_limit=args.timeout)
+            result = index_fn(g, node_budget=args.budget, time_limit=args.timeout)
         except PathHasNoIndexError:
-            payload["h"] = None
-            payload["h_defined"] = False
-        else:
-            if isinstance(h, Unknown):
-                payload["h"] = None
-                payload["h_unknown"] = h.detail
-            else:
-                if args.cross_check:
-                    h = with_cross_check(g, h)
-                payload["h"] = h.value
-                payload["h_method"] = h.method
-                if h.cross_check:
-                    payload.setdefault("checks", {})["h_cross_check"] = {
-                        "status": h.cross_check.status,
-                        "detail": h.cross_check.detail,
-                    }
+            payload[key] = None
+            payload[f"{key}_defined"] = False
+            continue
+        if isinstance(result, Unknown):
+            payload[key] = None
+            payload[f"{key}_unknown"] = result.detail
+            continue
+        if args.cross_check:
+            result = with_cross_check(g, result)
+        payload[key] = result.value
+        payload[f"{key}_method"] = result.method
+        if result.cross_check:
+            payload.setdefault("checks", {})[f"{key}_cross_check"] = {
+                "status": result.cross_check.status,
+                "detail": result.cross_check.detail,
+            }
     return payload
 
 

@@ -304,50 +304,63 @@ def find_witness(
         found.append(candidate)
         return True
 
-    def go(i: int) -> bool:
-        nonlocal odd_total
+    # Depth i decides edge order[i]: take[i] is the decision tried last
+    # (-1 none yet, 0 exclude, 1 include) and added[i] the odd vertices it
+    # finalized; each decision is undone before the next one is tried.
+    take = [-1] * m
+    added = [0] * m
+    try:
         budget.tick()
-        if i == m:
-            return leaf_check()
-        eid = order[i]
-        u, v = edges[eid]
-        bi = ebranch[eid]
-        for take in (0, 1):
+        if m == 0:
+            return found[0] if leaf_check() else None
+        i = 0
+        while i >= 0:
+            eid = order[i]
+            u, v = edges[eid]
+            bi = ebranch[eid]
+            t = take[i]
+            if t >= 0:
+                if bi >= 0:
+                    bdec[bi] -= 1
+                    binc[bi] -= t
+                odd_total -= added[i]
+                if t:
+                    parity[u] ^= 1
+                    parity[v] ^= 1
+                    inS[eid] = 0
+                undecided[u] += 1
+                undecided[v] += 1
+                if t:
+                    i -= 1
+                    continue
+            t += 1
+            take[i] = t
             undecided[u] -= 1
             undecided[v] -= 1
-            if take:
+            if t:
                 parity[u] ^= 1
                 parity[v] ^= 1
                 inS[eid] = 1
-            added = 0
+            a = 0
             if undecided[u] == 0 and parity[u]:
-                added += 1
+                a += 1
             if undecided[v] == 0 and parity[v]:
-                added += 1
-            odd_total += added
+                a += 1
+            added[i] = a
+            odd_total += a
             viable = odd_total <= odd_budget
             if bi >= 0:
                 bdec[bi] += 1
-                binc[bi] += take
+                binc[bi] += t
                 if viable and bdec[bi] == bsize[bi] and binc[bi] == 0 and bbad[bi]:
                     viable = False
-            if viable and go(i + 1):
-                return True
-            if bi >= 0:
-                bdec[bi] -= 1
-                binc[bi] -= take
-            odd_total -= added
-            if take:
-                parity[u] ^= 1
-                parity[v] ^= 1
-                inS[eid] = 0
-            undecided[u] += 1
-            undecided[v] += 1
-        return False
-
-    try:
-        if go(0):
-            return found[0]
+            if viable:
+                budget.tick()
+                if i + 1 < m:
+                    i += 1
+                    take[i] = -1
+                elif leaf_check():
+                    return found[0]
     except BudgetExhausted as exc:
         return Unknown(
             "find_witness",

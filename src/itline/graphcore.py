@@ -101,22 +101,14 @@ class MultiGraph:
         raise InputError(f"vertex {v} is not an endpoint of edge {eid}")
 
     def degree(self, v: int) -> int:
+        """Number of edges incident to ``v``, counting parallel edges."""
         self.check_vertex(v)
         return len(self.incidence[v])
 
     def distinct_neighbors(self, v: int) -> frozenset[int]:
+        """Neighbor set of ``v`` without multiplicity (parallel edges collapse)."""
         self.check_vertex(v)
         return self.neighbor_sets[v]
-
-
-def degree(g: MultiGraph, v: int) -> int:
-    """Number of edges incident to ``v``, counting parallel edges."""
-    return g.degree(v)
-
-
-def distinct_neighbors(g: MultiGraph, v: int) -> frozenset[int]:
-    """Neighbor set of ``v`` without multiplicity (parallel edges collapse)."""
-    return g.distinct_neighbors(v)
 
 
 def bfs_distances(g: MultiGraph, source: int) -> list[float]:
@@ -412,14 +404,10 @@ def parse_edgelist(text: str) -> MultiGraph:
 
 
 def to_edgelist(g: MultiGraph) -> str:
+    """Byte-deterministic edge-list text for ``g`` (round-trips via parse_edgelist)."""
     lines = [f"{g.vertex_count} {g.edge_count}"]
     lines.extend(f"{u} {v}" for u, v in g.edges)
     return "\n".join(lines) + "\n"
-
-
-def serialize(g: MultiGraph) -> str:
-    """Byte-deterministic edge-list text for ``g`` (round-trips via parse_edgelist)."""
-    return to_edgelist(g)
 
 
 _G6_HEADER = ">>graph6<<"

@@ -71,13 +71,18 @@ def _refine_colors(n: int, nbrs: list[list[int]]) -> list:
     """Iterative neighborhood refinement; signatures are isomorphism-invariant.
 
     ``nbrs[v]`` lists a neighbor once per edge, so parallel edges count.
+    Each round's signatures are replaced by their ranks among that round's
+    distinct signatures: ranks keep the order, and the next round's tuples
+    stay flat instead of nesting every earlier round.
     """
     sig: list = [(len(nbrs[v]),) for v in range(n)]
     while True:
         nxt = [(sig[v], tuple(sorted(sig[w] for w in nbrs[v]))) for v in range(n)]
-        if len(set(nxt)) == len(set(sig)):
+        distinct = sorted(set(nxt))
+        if len(distinct) == len(set(sig)):
             return sig
-        sig = nxt
+        rank = {s: r for r, s in enumerate(distinct)}
+        sig = [rank[s] for s in nxt]
 
 
 def _canonical_code(n: int, pairs: list[tuple[int, int]], base: int) -> int:

@@ -10,6 +10,7 @@ because the witness characterizations only start at k = 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from .budget import Unknown
 from .eup import VARIANT_EU, VARIANT_EUP, find_witness
@@ -22,7 +23,7 @@ from .graphcore import (
     diameter,
     is_connected,
 )
-from .hamilton import has_hamiltonian_cycle, has_hamiltonian_path
+from .hamilton import OracleAnswer, has_hamiltonian_cycle, has_hamiltonian_path
 from .linegraph import CapExceededError, EdgelessGraphError, iterated_line_graph
 from .structure import branches, find_dominating_trail, max_trail
 
@@ -71,6 +72,59 @@ def _trail_from_order(g: MultiGraph, order: tuple[int, ...]) -> Trail:
     return Trail(order, tuple(eids), closed=len(order) > 0 and order[0] == order[-1])
 
 
+def _index(
+    g: MultiGraph,
+    name: str,
+    kind: str,
+    oracle: Callable[..., OracleAnswer | Unknown],
+    closed: bool,
+    variant: str,
+    stop: Callable[[MultiGraph], int],
+    node_budget: int | None,
+    time_limit: float | None,
+) -> IndexResult | Unknown:
+    """Level 0 from ``oracle``, level 1 from a dominating (closed) trail, then
+    the ``variant`` witness levels 2..``stop(g)``, which must settle the index.
+    """
+    if not is_connected(g):
+        raise DisconnectedGraphError(f"{name} requires a connected graph")
+    answer = oracle(g, node_budget=node_budget, time_limit=time_limit)
+    if isinstance(answer, Unknown):
+        return Unknown(name, answer.budget_spent, answer.detail)
+    if answer.value:
+        return IndexResult(0, "direct-oracle", kind, _trail_from_order(g, answer.order))
+    if g.edge_count < 3:
+        # Connected graphs with fewer than three edges are all traceable,
+        # and hamiltonian unless they are paths.
+        raise GraphError(f"internal: small graph without a level-0 {kind} answer")
+    trail = find_dominating_trail(
+        g, closed=closed, node_budget=node_budget, time_limit=time_limit
+    )
+    if isinstance(trail, Unknown):
+        return Unknown(name, trail.budget_spent, trail.detail)
+    if trail is not None:
+        return IndexResult(1, "dominating-trail", kind, trail)
+    for k in range(2, stop(g) + 1):
+        witness = find_witness(
+            g, k, variant, node_budget=node_budget, time_limit=time_limit
+        )
+        if isinstance(witness, Unknown):
+            return Unknown(
+                name,
+                witness.budget_spent,
+                f"witness search undecided at k={k}: {witness.detail}",
+            )
+        if witness is not None:
+            return IndexResult(k, f"{variant.upper()}-witness", kind, witness)
+    raise GraphError("internal: no witness found up to the guaranteed stopping bound")
+
+
+def _cycle_index_stop(g: MultiGraph) -> int:
+    """A level at which every graph that can pass at any level passes."""
+    longest = max((b.length for b in branches(g)), default=0)
+    return max(2, diameter(g) + 1, longest)
+
+
 def hamiltonian_path_index(
     g: MultiGraph,
     *,
@@ -78,38 +132,10 @@ def hamiltonian_path_index(
     time_limit: float | None = None,
 ) -> IndexResult | Unknown:
     """Least number of line-graph iterations until a hamiltonian path exists."""
-    if not is_connected(g):
-        raise DisconnectedGraphError("hamiltonian_path_index requires a connected graph")
-    answer = has_hamiltonian_path(g, node_budget=node_budget, time_limit=time_limit)
-    if isinstance(answer, Unknown):
-        return Unknown("hamiltonian_path_index", answer.budget_spent, answer.detail)
-    if answer.value:
-        return IndexResult(0, "direct-oracle", "hp", _trail_from_order(g, answer.order))
-    if g.edge_count >= 3:
-        trail = find_dominating_trail(
-            g, closed=False, node_budget=node_budget, time_limit=time_limit
-        )
-        if isinstance(trail, Unknown):
-            return Unknown("hamiltonian_path_index", trail.budget_spent, trail.detail)
-        if trail is not None:
-            return IndexResult(1, "dominating-trail", "hp", trail)
-    else:
-        # Connected graphs with fewer than three edges are all traceable.
-        raise GraphError("internal: small non-traceable graph should not exist")
-    stop = max(1, g.vertex_count - diameter(g) - 1)
-    for k in range(2, stop + 1):
-        witness = find_witness(
-            g, k, VARIANT_EUP, node_budget=node_budget, time_limit=time_limit
-        )
-        if isinstance(witness, Unknown):
-            return Unknown(
-                "hamiltonian_path_index",
-                witness.budget_spent,
-                f"witness search undecided at k={k}: {witness.detail}",
-            )
-        if witness is not None:
-            return IndexResult(k, "EUP-witness", "hp", witness)
-    raise GraphError("internal: no witness found up to the guaranteed stopping bound")
+    return _index(
+        g, "hamiltonian_path_index", "hp", has_hamiltonian_path, False, VARIANT_EUP,
+        bound_cor2, node_budget, time_limit,
+    )
 
 
 def hamiltonian_index(
@@ -122,42 +148,12 @@ def hamiltonian_index(
 
     Defined for every connected graph except paths.
     """
-    if not is_connected(g):
-        raise DisconnectedGraphError("hamiltonian_index requires a connected graph")
     if is_path_graph(g):
         raise PathHasNoIndexError("paths have no hamiltonian index")
-    answer = has_hamiltonian_cycle(g, node_budget=node_budget, time_limit=time_limit)
-    if isinstance(answer, Unknown):
-        return Unknown("hamiltonian_index", answer.budget_spent, answer.detail)
-    if answer.value:
-        return IndexResult(0, "direct-oracle", "h", _trail_from_order(g, answer.order))
-    if g.edge_count >= 3:
-        trail = find_dominating_trail(
-            g, closed=True, node_budget=node_budget, time_limit=time_limit
-        )
-        if isinstance(trail, Unknown):
-            return Unknown("hamiltonian_index", trail.budget_spent, trail.detail)
-        if trail is not None:
-            return IndexResult(1, "dominating-trail", "h", trail)
-    else:
-        raise GraphError("internal: small non-hamiltonian non-path should not exist")
-    # At this k everything that can pass at any level passes, so the search
-    # always terminates with a witness.
-    longest = max((b.length for b in branches(g)), default=0)
-    stop = max(2, diameter(g) + 1, longest)
-    for k in range(2, stop + 1):
-        witness = find_witness(
-            g, k, VARIANT_EU, node_budget=node_budget, time_limit=time_limit
-        )
-        if isinstance(witness, Unknown):
-            return Unknown(
-                "hamiltonian_index",
-                witness.budget_spent,
-                f"witness search undecided at k={k}: {witness.detail}",
-            )
-        if witness is not None:
-            return IndexResult(k, "EU-witness", "h", witness)
-    raise GraphError("internal: no witness found up to the guaranteed stopping bound")
+    return _index(
+        g, "hamiltonian_index", "h", has_hamiltonian_cycle, True, VARIANT_EU,
+        _cycle_index_stop, node_budget, time_limit,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -257,24 +253,16 @@ def compute_bounds(
     diam = diameter(g)
     dp = delta_prime(g)
     dss = d3_doublestar(g)
+    cor2 = max(1, n - diam - 1)
+    thm_b2 = (n - dp - dss) // 3 + 3
     mt = max_trail(g, node_budget=node_budget, time_limit=time_limit)
     if isinstance(mt, Unknown):
         return BoundsReport(
-            n, diam, dp, dss, None, None, None, None,
-            max(1, n - diam - 1), (n - dp - dss) // 3 + 3, ("max_trail",),
+            n, diam, dp, dss, None, None, None, None, cor2, thm_b2, ("max_trail",)
         )
-    return BoundsReport(
-        n,
-        diam,
-        dp,
-        dss,
-        mt.mt_star,
-        mt.d3_star,
-        n - mt.mt_star - mt.d3_star + 2,
-        max(1, n - mt.mt_star),
-        max(1, n - diam - 1),
-        (n - dp - dss) // 3 + 3,
-    )
+    thm_b1 = n - mt.mt_star - mt.d3_star + 2
+    cor1 = max(1, n - mt.mt_star)
+    return BoundsReport(n, diam, dp, dss, mt.mt_star, mt.d3_star, thm_b1, cor1, cor2, thm_b2)
 
 
 # ---------------------------------------------------------------------------

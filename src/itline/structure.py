@@ -6,14 +6,14 @@ end is kept as a *closed* branch (both endpoints equal, ``is_closed`` set);
 components that are bare cycles of degree-2 vertices contribute no branches.
 
 The trail searches (maximum trail, dominating trail) are exact backtracking
-with memoized pruning; on budget exhaustion they report Unknown rather than
-None.
+with memoized pruning on one explicit-stack walk, so long inputs need no
+recursion; on budget exhaustion they report Unknown rather than None.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .budget import Budget, BudgetExhausted, Unknown
 from .graphcore import (
@@ -182,6 +182,84 @@ def pendent_cycles(g: MultiGraph) -> tuple[Trail, ...]:
     return tuple(out)
 
 
+_STOP, _PRUNE, _EXPAND = range(3)
+
+
+def _walk_trails(
+    g: MultiGraph,
+    budget: Budget,
+    closed: bool,
+    visit: Callable[[int, int, int, list[int], list[int]], int],
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Depth-first walk over the trails of ``g``, on an explicit stack.
+
+    Trails start at each vertex in turn and grow by one unused edge at a
+    time, in incidence order.  Every step costs one ``budget.tick()``; a
+    step into a state (end vertex, used-edge mask) seen before goes no
+    further.  Otherwise ``visit(v, used, vmask, path_v, path_e)`` answers
+    _STOP, _PRUNE or _EXPAND for the trail ``path_v``/``path_e`` ending at
+    ``v``.  A closed trail can start at its smallest vertex, so a closed walk
+    only steps to vertices >= start and forgets its states at each new start;
+    it visits only nonempty trails back at their start and expands all others.
+    Returns the trail ``visit`` stopped at, as (vertices, edge ids), or None.
+    """
+    inc = g.incidence
+    # An edge's endpoints xor-ed together: the far end of eid from v is
+    # ends[eid] ^ v.
+    ends = [a ^ b for a, b in g.edges]
+    tick = budget.tick
+    seen: set[tuple[int, int]] = set()
+    for start in range(g.vertex_count):
+        if closed:
+            seen = set()
+        path_v = [start]
+        path_e: list[int] = []
+        tick()
+        if not closed:
+            action = visit(start, 0, 1 << start, path_v, path_e)
+            if action == _STOP:
+                return tuple(path_v), tuple(path_e)
+            if action == _PRUNE:
+                continue
+        stack = []
+        v, used, vmask, steps = start, 0, 1 << start, iter(inc[start])
+        while True:
+            for eid in steps:
+                if used >> eid & 1:
+                    continue
+                w = ends[eid] ^ v
+                if closed and w < start:
+                    continue
+                tick()
+                w_used = used | 1 << eid
+                state = (w, w_used)
+                if state in seen:
+                    continue
+                seen.add(state)
+                w_mask = vmask | 1 << w
+                path_v.append(w)
+                path_e.append(eid)
+                if closed and w != start:
+                    action = _EXPAND
+                else:
+                    action = visit(w, w_used, w_mask, path_v, path_e)
+                if action == _STOP:
+                    return tuple(path_v), tuple(path_e)
+                if action == _EXPAND:
+                    stack.append((v, used, vmask, steps))
+                    v, used, vmask, steps = w, w_used, w_mask, iter(inc[w])
+                    break
+                path_v.pop()
+                path_e.pop()
+            else:
+                if not stack:
+                    break
+                v, used, vmask, steps = stack.pop()
+                path_v.pop()
+                path_e.pop()
+    return None
+
+
 @dataclass(frozen=True)
 class MaxTrailResult:
     """A trail with the most distinct vertices, preferring coverage of degree->=3 vertices.
@@ -217,10 +295,8 @@ def max_trail(
     for v in range(n):
         if g.degree(v) >= 3:
             v3_mask |= 1 << v
-    v3_total = bin(v3_mask).count("1")
     edges = g.edges
     inc = g.incidence
-    budget = Budget(node_budget, time_limit)
 
     # Best-so-far, seeded with the best trivial trail.
     if v3_mask:
@@ -232,10 +308,6 @@ def max_trail(
     best_count = 1
     best_vs: tuple[int, ...] = (seed,)
     best_es: tuple[int, ...] = ()
-
-    seen: set[tuple[int, int]] = set()
-    path_v: list[int] = []
-    path_e: list[int] = []
 
     def reach_mask(v: int, used: int) -> int:
         mask = 1 << v
@@ -253,51 +325,28 @@ def max_trail(
                     queue.append(w)
         return mask
 
-    def extend(v: int, used: int, vmask: int, count: int, cov: int) -> None:
+    def visit(v: int, used: int, vmask: int, path_v: list[int], path_e: list[int]) -> int:
         nonlocal best_count, best_cov, best_vs, best_es
-        budget.tick()
-        key = (v, used)
-        if key in seen:
-            return
-        seen.add(key)
+        count = vmask.bit_count()
+        cov = (vmask & v3_mask).bit_count()
         if count > best_count or (count == best_count and cov > best_cov):
             best_count, best_cov = count, cov
             best_vs, best_es = tuple(path_v), tuple(path_e)
         ub = vmask | reach_mask(v, used)
-        ub_count = bin(ub).count("1")
+        ub_count = ub.bit_count()
         if ub_count < best_count:
-            return
-        if ub_count == best_count and bin(ub & v3_mask).count("1") <= best_cov:
-            return
-        for eid in inc[v]:
-            if used >> eid & 1:
-                continue
-            a, b = edges[eid]
-            w = b if a == v else a
-            wbit = 1 << w
-            new_vertex = not vmask & wbit
-            path_v.append(w)
-            path_e.append(eid)
-            extend(
-                w,
-                used | 1 << eid,
-                vmask | wbit,
-                count + (1 if new_vertex else 0),
-                cov + (1 if new_vertex and v3_mask & wbit else 0),
-            )
-            path_v.pop()
-            path_e.pop()
+            return _PRUNE
+        if ub_count == best_count and (ub & v3_mask).bit_count() <= best_cov:
+            return _PRUNE
+        return _EXPAND
 
     try:
-        for start in range(n):
-            path_v = [start]
-            path_e = []
-            extend(start, 0, 1 << start, 1, 1 if v3_mask >> start & 1 else 0)
+        _walk_trails(g, Budget(node_budget, time_limit), False, visit)
     except BudgetExhausted as exc:
         return Unknown("max_trail", exc.spent, f"graph with {n} vertices, {m} edges")
 
     trail = Trail(best_vs, best_es, best_vs[0] == best_vs[-1])
-    return MaxTrailResult(trail, best_count, v3_total - best_cov)
+    return MaxTrailResult(trail, best_count, v3_mask.bit_count() - best_cov)
 
 
 def dominates(g: MultiGraph, vertices: Iterable[int]) -> bool:
@@ -322,96 +371,25 @@ def find_dominating_trail(
         raise DisconnectedGraphError("dominating-trail search requires a connected graph")
     n, m = g.vertex_count, g.edge_count
     inc = g.incidence
-    edges = g.edges
     for v in range(n):
         if len(inc[v]) == m:
             return trivial_trail(v)
 
-    edge_vmask = [(1 << u) | (1 << v) for u, v in edges]
-    budget = Budget(node_budget, time_limit)
+    edge_vmask = [(1 << u) | (1 << v) for u, v in g.edges]
 
-    def dominated(vmask: int) -> bool:
-        return all(vmask & em for em in edge_vmask)
-
-    result: list[Trail] = []
-    path_v: list[int] = []
-    path_e: list[int] = []
-
-    if closed:
-        # A closed trail can start at its smallest vertex, so each start only
-        # explores vertices >= start.
-        def extend_closed(start: int, v: int, used: int, vmask: int, seen: set) -> bool:
-            budget.tick()
-            key = (v, used)
-            if key in seen:
-                return False
-            seen.add(key)
-            if v == start and used and dominated(vmask):
-                result.append(Trail(tuple(path_v), tuple(path_e), True))
-                return True
-            for eid in inc[v]:
-                if used >> eid & 1:
-                    continue
-                a, b = edges[eid]
-                w = b if a == v else a
-                if w < start:
-                    continue
-                path_v.append(w)
-                path_e.append(eid)
-                if extend_closed(start, w, used | 1 << eid, vmask | 1 << w, seen):
-                    return True
-                path_v.pop()
-                path_e.pop()
-            return False
-
-        try:
-            for start in range(n):
-                path_v = [start]
-                path_e = []
-                if extend_closed(start, start, 0, 1 << start, set()):
-                    return result[0]
-        except BudgetExhausted as exc:
-            return Unknown(
-                "find_dominating_trail",
-                exc.spent,
-                f"closed search on graph with {n} vertices, {m} edges",
-            )
-        return None
-
-    seen: set[tuple[int, int]] = set()
-
-    def extend_open(v: int, used: int, vmask: int) -> bool:
-        budget.tick()
-        key = (v, used)
-        if key in seen:
-            return False
-        seen.add(key)
-        if dominated(vmask):
-            result.append(Trail(tuple(path_v), tuple(path_e), path_v[0] == path_v[-1]))
-            return True
-        for eid in inc[v]:
-            if used >> eid & 1:
-                continue
-            a, b = edges[eid]
-            w = b if a == v else a
-            path_v.append(w)
-            path_e.append(eid)
-            if extend_open(w, used | 1 << eid, vmask | 1 << w):
-                return True
-            path_v.pop()
-            path_e.pop()
-        return False
+    def visit(v: int, used: int, vmask: int, path_v: list[int], path_e: list[int]) -> int:
+        # No single vertex dominates here, so no trivial trail stops.
+        return _STOP if all(map(vmask.__and__, edge_vmask)) else _EXPAND
 
     try:
-        for start in range(n):
-            path_v = [start]
-            path_e = []
-            if extend_open(start, 0, 1 << start):
-                return result[0]
+        found = _walk_trails(g, Budget(node_budget, time_limit), closed, visit)
     except BudgetExhausted as exc:
         return Unknown(
             "find_dominating_trail",
             exc.spent,
-            f"open search on graph with {n} vertices, {m} edges",
+            f"{'closed' if closed else 'open'} search on graph with {n} vertices, {m} edges",
         )
-    return None
+    if found is None:
+        return None
+    vertices, edge_ids = found
+    return Trail(vertices, edge_ids, vertices[0] == vertices[-1])

@@ -120,6 +120,16 @@ def test_graph_id_is_isomorphism_invariant_for_multigraphs():
     assert graph_id(tail) != graph_id(claw)
 
 
+def test_graph_id_of_long_asymmetric_tree():
+    # Refinement needs ~20 rounds to tell every vertex of this tree apart;
+    # signatures that nested each round inside the next took exponential
+    # time to hash.
+    tree = MultiGraph(41, path(40).edges + ((2, 40),))
+    relabeled = MultiGraph(41, tuple((40 - u, 40 - v) for u, v in reversed(tree.edges)))
+    assert graph_id(tree) == graph_id(relabeled)
+    assert graph_id(tree) != graph_id(MultiGraph(41, path(40).edges + ((3, 40),)))
+
+
 # --- campaigns ----------------------------------------------------------------
 
 

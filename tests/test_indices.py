@@ -1,11 +1,14 @@
 """Exact indices, the four upper bounds, and the direct-iteration cross-check."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 
 from itline.budget import Unknown
+from itline.eup import find_witness
 from itline.families import complete, cycle, fig1, fig2, fig3, fig4b, path, star, two_cycle
-from itline.graphcore import SubgraphH, Trail
+from itline.graphcore import MultiGraph, SubgraphH, Trail
 from itline.indices import (
     IndexResult,
     PathHasNoIndexError,
@@ -22,6 +25,7 @@ from itline.indices import (
     is_path_graph,
     with_cross_check,
 )
+from itline.structure import MaxTrailResult, find_dominating_trail, max_trail
 
 from .conftest import connected_multigraphs, simple_graphs
 
@@ -33,6 +37,37 @@ def test_path_index_of_paths_is_zero():
 
 def test_path_index_of_long_path_needs_no_recursion():
     assert hamiltonian_path_index(path(1500)).value == 0
+
+
+LONG_GRAPHS = {
+    "path": path(1500),
+    "cycle": cycle(1500),
+    "broom": MultiGraph(1502, path(1500).edges + ((0, 1500), (0, 1501))),
+}
+LONG_SEARCHES = {
+    "max_trail": max_trail,
+    "open_trail": partial(find_dominating_trail, closed=False),
+    "closed_trail": partial(find_dominating_trail, closed=True),
+    "eu_witness": partial(find_witness, k=2, variant="eu"),
+    "eup_witness": partial(find_witness, k=2, variant="eup"),
+    "path_index": hamiltonian_path_index,
+}
+
+
+@pytest.mark.parametrize("search", LONG_SEARCHES)
+@pytest.mark.parametrize("graph", LONG_GRAPHS)
+def test_long_inputs_answer_or_unknown(graph, search):
+    g, run = LONG_GRAPHS[graph], LONG_SEARCHES[search]
+    answer = run(g, node_budget=20_000)
+    assert answer is None or isinstance(
+        answer, (Unknown, MaxTrailResult, Trail, SubgraphH, IndexResult)
+    )
+    starved = run(g, node_budget=50)
+    if search == "eu_witness" and graph != "cycle":
+        # A pendant branch longer than k rules out EU_k before any search.
+        assert starved is None
+    else:
+        assert isinstance(starved, Unknown) and starved.budget_spent == 51
 
 
 def test_path_index_of_stars():
