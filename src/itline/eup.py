@@ -21,6 +21,7 @@ iterated line graph for k >= 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .budget import Budget, BudgetExhausted, Unknown
 from .graphcore import (
@@ -135,6 +136,60 @@ def _proximity_components_ok(
     return False, f"components on vertices {far} are farther than {threshold} from the rest"
 
 
+def _ball_masks(g: MultiGraph, radius: int) -> list[int]:
+    """Bitmask of the vertices within ``radius`` of each vertex (BFS cut at that depth)."""
+    nbrs = g.neighbor_sets
+    balls = []
+    for source in range(g.vertex_count):
+        ball = 1 << source
+        frontier = [source]
+        for _ in range(radius):
+            nxt = []
+            for u in frontier:
+                for w in nbrs[u]:
+                    if not ball >> w & 1:
+                        ball |= 1 << w
+                        nxt.append(w)
+            if not nxt:
+                break
+            frontier = nxt
+        balls.append(ball)
+    return balls
+
+
+def _balls_link(edge_masks, v3_mask: int, ball: list[int]) -> bool:
+    """Proximity of the coverage-complete subgraph, on bitmasks.
+
+    ``edge_masks`` holds, for each edge of H, its two-bit end mask and the
+    union of its ends' radius-(k-1) balls; every degree->=3 vertex the edges
+    miss joins as a one-vertex item with its own ball.  One reach mask grows
+    from the first item by absorbing every item whose vertices it meets, and
+    H passes when the reach covers all of H's vertices.  Each item's ball
+    contains its vertices, so items that share a vertex always link, and
+    linking edge by edge answers the same as linking whole components:
+    this agrees with :func:`_proximity_components_ok` on the same subgraph.
+    """
+    items = list(edge_masks)
+    covered = 0
+    for vm, _ in items:
+        covered |= vm
+    lone = v3_mask & ~covered
+    while lone:
+        low = lone & -lone
+        items.append((low, ball[low.bit_length() - 1]))
+        lone ^= low
+    if not items:
+        return True
+    reach = items[0][1]
+    before = 0
+    while reach != before:
+        before = reach
+        for vm, bm in items:
+            if vm & reach:
+                reach |= bm
+    return not (covered | v3_mask) & ~reach
+
+
 def check_conditions(g: MultiGraph, h: SubgraphH, k: int, variant: str) -> ConditionReport:
     """Evaluate every membership condition directly from its definition."""
     variant = _norm_variant(variant)
@@ -236,7 +291,12 @@ def find_witness(
     contiguous, exclude tried before include), counting odd vertices as they
     finalize against the parity budget (0 for EU, 2 for EUP) and failing a
     branch as soon as it is fully avoided but too long.  Leaves only need the
-    proximity check.  The empty subgraph is not considered a witness.
+    proximity check, which runs on bitmasks: each vertex's radius-(k-1) ball
+    is computed once, and the chosen edges plus the uncovered degree->=3
+    vertices must all be absorbed by one reach mask grown through those
+    balls (:func:`_balls_link`).  A leaf that passes is built with
+    :func:`canonical_candidate` and rechecked by :func:`check_conditions`
+    before it is returned.  The empty subgraph is not considered a witness.
     """
     variant = _norm_variant(variant)
     if k < 1:
@@ -245,7 +305,6 @@ def find_witness(
         raise DisconnectedGraphError("witness search requires a connected graph")
     n, m = g.vertex_count, g.edge_count
     edges = g.edges
-    v3 = [v for v in range(n) if g.degree(v) >= 3]
     blist = branches(g)
 
     if variant == VARIANT_EU:
@@ -277,7 +336,9 @@ def find_witness(
     if len(order) != m:
         raise GraphError("internal: branch partition missed edges")
 
-    dist = all_pairs_distances(g)
+    ball = _ball_masks(g, k - 1)
+    edge_masks = [((1 << u) | (1 << v), ball[u] | ball[v]) for u, v in edges]
+    v3_mask = sum(1 << v for v in range(n) if g.degree(v) >= 3)
     undecided = [g.degree(v) for v in range(n)]
     parity = [0] * n
     inS = bytearray(m)
@@ -288,14 +349,11 @@ def find_witness(
     found: list[SubgraphH] = []
 
     def leaf_check() -> bool:
-        chosen = [e for e in range(m) if inS[e]]
-        if not chosen and not v3:
+        if not v3_mask and not any(inS):
             return False
-        candidate = canonical_candidate(g, chosen)
-        comps = subgraph_components(g, candidate)
-        ok, _ = _proximity_components_ok(comps, dist, k)
-        if not ok:
+        if not _balls_link(compress(edge_masks, inS), v3_mask, ball):
             return False
+        candidate = canonical_candidate(g, compress(range(m), inS))
         report = check_conditions(g, candidate, k, variant)
         if not report.overall:
             raise GraphError(

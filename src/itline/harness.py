@@ -707,7 +707,6 @@ def run_family_suite(
     *,
     node_budget: int | None = None,
     time_limit: float | None = None,
-    include_expensive: bool = True,
 ) -> CampaignReport:
     """Check the published sharpness statistics of the named families."""
     records: list[dict] = []
@@ -756,9 +755,8 @@ def run_family_suite(
         claim(fam, "d3_star == 4", 4, mt if isinstance(mt, Unknown) else mt.d3_star)
         claim(fam, "trail bound == s+2", s + 2,
               bound_thm_b1(g, node_budget=node_budget, time_limit=time_limit))
-        if include_expensive:
-            claim(fam, "hp == s+2", s + 2, index_value(
-                hamiltonian_path_index(g, node_budget=node_budget, time_limit=time_limit)))
+        claim(fam, "hp == s+2", s + 2, index_value(
+            hamiltonian_path_index(g, node_budget=node_budget, time_limit=time_limit)))
 
     for s in (1, 2):
         g = fig4b(s)
@@ -769,10 +767,9 @@ def run_family_suite(
         recipe = two_longest_branch_candidate(g)
         claim(fam, "recipe witness passes at s+2", True,
               check_conditions(g, recipe, s + 2, VARIANT_EUP).overall)
-        if include_expensive and s == 1:
-            below = find_witness(g, s + 1, VARIANT_EUP,
-                                 node_budget=node_budget, time_limit=time_limit)
-            claim(fam, "no witness at s+1", True,
-                  below if isinstance(below, Unknown) else below is None)
+        below = find_witness(g, s + 1, VARIANT_EUP,
+                             node_budget=node_budget, time_limit=time_limit)
+        claim(fam, "no witness at s+1", True,
+              below if isinstance(below, Unknown) else below is None)
 
     return CampaignReport("families", {}, records).finalize()

@@ -142,11 +142,7 @@ def test_criterion_7_neighbor_bound_sharpness():
         assert bound_thm_b2(g) == s + 2
         recipe = two_longest_branch_candidate(g)
         assert check_conditions(g, recipe, s + 2, VARIANT_EUP).overall
-    below = find_witness(fig4b(1), 2, VARIANT_EUP, time_limit=600)
-    if isinstance(below, Unknown):
-        print("[acceptance] criterion 7 note: emptiness at k=2 reported Unknown "
-              f"after {below.budget_spent} expansions (honest, not a failure)")
-    else:
+        below = find_witness(g, s + 1, VARIANT_EUP)
         assert below is None
     _report(7, "neighbor-bound sharpness family")
 

@@ -112,7 +112,7 @@ def test_verify_main_writes_reports(capsys, tmp_path):
     assert (outdir / "main.csv").exists()
 
 
-def test_verify_families_quick(capsys):
+def test_verify_bounds_quick(capsys):
     code, out, _ = run(capsys, "verify", "--theorem", "bounds", "--max-vertices", "4")
     assert code == 0
     assert json.loads(out)["ok"] is True

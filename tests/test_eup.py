@@ -2,21 +2,26 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from itline.budget import Unknown
 from itline.eup import (
     VARIANT_EU,
     VARIANT_EUP,
+    _ball_masks,
+    _balls_link,
+    _proximity_components_ok,
     canonical_candidate,
     check_conditions,
     find_witness,
     witness_to_json,
 )
-from itline.families import cycle, fig1, fig2, path, star
+from itline.families import cycle, fig1, fig2, fig4b, path, star
 from itline.graphcore import (
     DisconnectedGraphError,
     InputError,
     MultiGraph,
+    all_pairs_distances,
     subgraph,
     subgraph_components,
     subgraph_distance,
@@ -141,6 +146,34 @@ def test_budget_exhaustion_returns_unknown():
     result = find_witness(fig2(3), 2, VARIANT_EUP, node_budget=3)
     assert isinstance(result, Unknown)
     assert result.operation == "find_witness"
+
+
+def test_exhaustive_search_tree_is_pinned():
+    # fig4b(1) has no EUP_2 witness; proving it expands 365,179 nodes in the
+    # generator's edge order.  A cheaper leaf test must not change that tree.
+    g = fig4b(1)
+    starved = find_witness(g, 2, VARIANT_EUP, node_budget=365_178)
+    assert isinstance(starved, Unknown) and starved.budget_spent == 365_179
+    assert find_witness(g, 2, VARIANT_EUP, node_budget=365_179) is None
+
+
+@settings(deadline=None, max_examples=60)
+@given(connected_multigraphs(max_vertices=7, max_extra_edges=5), st.data())
+def test_ball_mask_proximity_matches_distance_table(g, data):
+    chosen = data.draw(st.integers(0, (1 << g.edge_count) - 1))
+    edges = [e for e in range(g.edge_count) if chosen >> e & 1]
+    cand = canonical_candidate(g, edges)
+    comps = subgraph_components(g, cand)
+    dist = all_pairs_distances(g)
+    v3_mask = sum(1 << v for v in range(g.vertex_count) if g.degree(v) >= 3)
+    for k in (1, 2, 3, 4):
+        ball = _ball_masks(g, k - 1)
+        masks = [
+            ((1 << u) | (1 << v), ball[u] | ball[v])
+            for u, v in (g.edges[e] for e in edges)
+        ]
+        want, _ = _proximity_components_ok(comps, dist, k)
+        assert _balls_link(masks, v3_mask, ball) == want
 
 
 def test_witness_json_shape():

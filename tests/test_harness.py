@@ -188,11 +188,14 @@ def test_equivalence_campaign_small(corpus5):
 
 
 def test_family_suite_smoke():
-    report = run_family_suite(include_expensive=False)
-    assert report.ok
+    report = run_family_suite()
+    assert report.ok and report.unknowns == 0
     assert {r["graph"] for r in report.records} >= {
         "fig2(k=1)", "fig3(s=1,t=6)", "fig4b(s=1)",
     }
+    s2 = [r for r in report.records
+          if r["graph"] == "fig4b(s=2)" and r["claim"] == "no witness at s+1"]
+    assert len(s2) == 1 and s2[0]["agree"] is True
 
 
 def test_two_longest_branch_candidate_fig2():
