@@ -157,37 +157,32 @@ def _ball_masks(g: MultiGraph, radius: int) -> list[int]:
     return balls
 
 
-def _balls_link(edge_masks, v3_mask: int, ball: list[int]) -> bool:
-    """Proximity of the coverage-complete subgraph, on bitmasks.
+def _reach(seed: int, alive: int, ball: list[int], hops=None) -> int:
+    """The vertices of ``alive`` linked to ``seed``, as a bitmask.
 
-    ``edge_masks`` holds, for each edge of H, its two-bit end mask and the
-    union of its ends' radius-(k-1) balls; every degree->=3 vertex the edges
-    miss joins as a one-vertex item with its own ball.  One reach mask grows
-    from the first item by absorbing every item whose vertices it meets, and
-    H passes when the reach covers all of H's vertices.  Each item's ball
-    contains its vertices, so items that share a vertex always link, and
-    linking edge by edge answers the same as linking whole components:
-    this agrees with :func:`_proximity_components_ok` on the same subgraph.
+    The items of a subgraph are its edges and its degree->=3 vertices; two
+    items link when a vertex of one lies in the radius-(k-1) ball of a
+    vertex of the other.  On vertices this reads: ``alive`` holds every
+    vertex of an item, and two alive vertices link when either lies in the
+    other's ball (an edge's ends are one apart, so they link at any radius
+    >= 1).  At radius 0 an alive vertex links only along item edges, and
+    ``hops(x)`` gives their far ends at ``x``.  The class grows from
+    ``seed`` over a vertex frontier, each vertex taken once.  Items are
+    mutually linkable, the proximity condition of
+    :func:`_proximity_components_ok`, exactly when one reach holds all their
+    vertices.
     """
-    items = list(edge_masks)
-    covered = 0
-    for vm, _ in items:
-        covered |= vm
-    lone = v3_mask & ~covered
-    while lone:
-        low = lone & -lone
-        items.append((low, ball[low.bit_length() - 1]))
-        lone ^= low
-    if not items:
-        return True
-    reach = items[0][1]
-    before = 0
-    while reach != before:
-        before = reach
-        for vm, bm in items:
-            if vm & reach:
-                reach |= bm
-    return not (covered | v3_mask) & ~reach
+    reach = frontier = seed
+    while frontier:
+        x = frontier.bit_length() - 1
+        frontier ^= 1 << x
+        new = (ball[x] & alive if hops is None else hops(x)) & ~reach
+        if new:
+            reach |= new
+            if reach == alive:
+                break
+            frontier |= new
+    return reach
 
 
 def check_conditions(g: MultiGraph, h: SubgraphH, k: int, variant: str) -> ConditionReport:
@@ -290,13 +285,20 @@ def find_witness(
     The search walks edge decisions branch by branch (branch internals are
     contiguous, exclude tried before include), counting odd vertices as they
     finalize against the parity budget (0 for EU, 2 for EUP) and failing a
-    branch as soon as it is fully avoided but too long.  Leaves only need the
-    proximity check, which runs on bitmasks: each vertex's radius-(k-1) ball
-    is computed once, and the chosen edges plus the uncovered degree->=3
-    vertices must all be absorbed by one reach mask grown through those
-    balls (:func:`_balls_link`).  A leaf that passes is built with
-    :func:`canonical_candidate` and rechecked by :func:`check_conditions`
-    before it is returned.  The empty subgraph is not considered a witness.
+    branch as soon as it is fully avoided but too long.  A proximity
+    lookahead prunes every other subtree without a witness: after each
+    decision, the required items (the chosen edges and every degree->=3
+    vertex) must lie in one class of the items still available (chosen and
+    undecided edges, degree->=3 vertices), linked through each vertex's
+    radius-(k-1) ball (:func:`_reach`).  The class is kept per depth and
+    updated incrementally: an include only tests that its edge meets the
+    class, and an exclude regrows the class only when it takes a vertex out
+    of the items and the class may split.  At the last depth the available
+    items are exactly the leaf's subgraph, so a leaf that gets there
+    satisfies every condition; it is built with :func:`canonical_candidate`
+    and rechecked by :func:`check_conditions` before it is returned.  A
+    sound prune cannot change the first witness in search order.  The
+    empty subgraph is not considered a witness.
     """
     variant = _norm_variant(variant)
     if k < 1:
@@ -336,41 +338,56 @@ def find_witness(
     if len(order) != m:
         raise GraphError("internal: branch partition missed edges")
 
-    ball = _ball_masks(g, k - 1)
-    edge_masks = [((1 << u) | (1 << v), ball[u] | ball[v]) for u, v in edges]
-    v3_mask = sum(1 << v for v in range(n) if g.degree(v) >= 3)
+    radius = k - 1
+    ball = _ball_masks(g, radius)
+    end_mask = [(1 << u) | (1 << v) for u, v in edges]
     undecided = [g.degree(v) for v in range(n)]
+    high = [d >= 3 for d in undecided]
+    v3_mask = sum(1 << v for v in range(n) if high[v])
     parity = [0] * n
     inS = bytearray(m)
+    out = bytearray(m)
     bdec = [0] * len(bsize)
     binc = [0] * len(bsize)
     odd_total = 0
     budget = Budget(node_budget, time_limit)
-    found: list[SubgraphH] = []
 
-    def leaf_check() -> bool:
-        if not v3_mask and not any(inS):
-            return False
-        if not _balls_link(compress(edge_masks, inS), v3_mask, ball):
-            return False
-        candidate = canonical_candidate(g, compress(range(m), inS))
-        report = check_conditions(g, candidate, k, variant)
-        if not report.overall:
-            raise GraphError(
-                "internal: search produced a candidate its own recheck rejects"
-            )
-        found.append(candidate)
-        return True
+    # At radius 0, items link only along the edges not excluded (out[eid]).
+    hops = None
+    if not radius:
+        inc = g.incidence
+        ends = [a ^ b for a, b in edges]  # the far end of eid from x is ends[eid] ^ x
+
+        def hops(x: int) -> int:
+            mask = 0
+            for eid in inc[x]:
+                if not out[eid]:
+                    mask |= 1 << (ends[eid] ^ x)
+            return mask
 
     # Depth i decides edge order[i]: take[i] is the decision tried last
     # (-1 none yet, 0 exclude, 1 include) and added[i] the odd vertices it
     # finalized; each decision is undone before the next one is tried.
+    # After depth i the lookahead state is kept at index i+1: need_at, the
+    # vertices of the required items (chosen edges and degree->=3 vertices);
+    # alive_at, the vertices of every item still available (chosen and
+    # undecided edges, degree->=3 vertices); reach_at, the alive vertices
+    # linked to the required items (0 while there are none).
     take = [-1] * m
     added = [0] * m
+    need_at = [0] * (m + 1)
+    alive_at = [0] * (m + 1)
+    reach_at = [0] * (m + 1)
     try:
         budget.tick()
         if m == 0:
-            return found[0] if leaf_check() else None
+            return None
+        # G is connected, so with every edge available all of its vertices
+        # form one class, and the degree->=3 vertices always link at the root.
+        need_at[0] = v3_mask
+        alive_at[0] = (1 << n) - 1
+        if v3_mask:
+            reach_at[0] = alive_at[0]
         i = 0
         while i >= 0:
             eid = order[i]
@@ -391,6 +408,7 @@ def find_witness(
                 if t:
                     i -= 1
                     continue
+                out[eid] = 0
             t += 1
             take[i] = t
             undecided[u] -= 1
@@ -399,6 +417,8 @@ def find_witness(
                 parity[u] ^= 1
                 parity[v] ^= 1
                 inS[eid] = 1
+            else:
+                out[eid] = 1
             a = 0
             if undecided[u] == 0 and parity[u]:
                 a += 1
@@ -412,13 +432,64 @@ def find_witness(
                 binc[bi] += t
                 if viable and bdec[bi] == bsize[bi] and binc[bi] == 0 and bbad[bi]:
                     viable = False
-            if viable:
-                budget.tick()
-                if i + 1 < m:
-                    i += 1
-                    take[i] = -1
-                elif leaf_check():
-                    return found[0]
+            if not viable:
+                continue
+            # Proximity lookahead: the required items must still link
+            # through the available ones.
+            need, alive, reach = need_at[i], alive_at[i], reach_at[i]
+            em = end_mask[eid]
+            if t:
+                need |= em
+                if not reach:
+                    reach = _reach(em, alive, ball, hops)
+                elif not em & reach:
+                    continue
+            else:
+                # An end of degree <= 2 leaves the items once its edges are
+                # all decided and none is chosen.
+                lost = near = 0
+                if not (undecided[u] or parity[u] or high[u]):
+                    lost, near = 1 << u, ball[u]
+                if not (undecided[v] or parity[v] or high[v]):
+                    lost |= 1 << v
+                    near |= ball[v]
+                alive ^= lost
+                if em & reach:
+                    # The class loses the vertices that left.  At radius
+                    # >= 1 only that can split it, and it stays whole when
+                    # the class vertices within the radius of them (links)
+                    # still link among themselves; one ball holding them
+                    # all settles that without a growth.  At radius 0 a
+                    # vertex that left was the end of its last edge, but
+                    # dropping an edge between two kept vertices can
+                    # split the class.  A class that may have split is
+                    # regrown from a required vertex.
+                    reach ^= lost
+                    if hops:
+                        if not lost:
+                            reach = 0
+                    elif lost:
+                        links = near & reach
+                        if links & ~ball[links.bit_length() - 1] and (
+                            _reach(links & -links, links, ball) != links
+                        ):
+                            reach = 0
+                    if not reach:
+                        reach = _reach(need & -need, alive, ball, hops)
+                        if need & ~reach:
+                            continue
+            budget.tick()
+            if i + 1 < m:
+                i += 1
+                take[i] = -1
+                need_at[i], alive_at[i], reach_at[i] = need, alive, reach
+            elif need:
+                candidate = canonical_candidate(g, compress(range(m), inS))
+                if not check_conditions(g, candidate, k, variant).overall:
+                    raise GraphError(
+                        "internal: search produced a candidate its own recheck rejects"
+                    )
+                return candidate
     except BudgetExhausted as exc:
         return Unknown(
             "find_witness",

@@ -10,11 +10,9 @@ configuration regardless of worker count.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations, permutations, product
@@ -158,6 +156,8 @@ def graph_id(g: MultiGraph) -> str:
         return to_graph6(graph_from_key(canonical_key(g)))
     base = 1 + max(Counter(pairs).values())
     code = _canonical_code(g.vertex_count, pairs, base)
+    import hashlib  # on first use: it maps OpenSSL, ~4 MB of resident memory
+
     digest = hashlib.sha256(f"{base} {code}".encode()).hexdigest()[:10]
     return f"multi-n{g.vertex_count}-m{g.edge_count}-{digest}"
 
@@ -391,6 +391,8 @@ def _map_records(
     graphs = list(corpus)
     if workers <= 1:
         return [fn(g) for g in graphs]
+    from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays for it
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, graphs))
 
@@ -758,7 +760,7 @@ def run_family_suite(
         claim(fam, "hp == s+2", s + 2, index_value(
             hamiltonian_path_index(g, node_budget=node_budget, time_limit=time_limit)))
 
-    for s in (1, 2):
+    for s in (1, 2, 3):
         g = fig4b(s)
         fam = f"fig4b(s={s})"
         claim(fam, "delta_prime == 6", 6, delta_prime(g))

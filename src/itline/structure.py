@@ -295,8 +295,8 @@ def max_trail(
     for v in range(n):
         if g.degree(v) >= 3:
             v3_mask |= 1 << v
-    edges = g.edges
     inc = g.incidence
+    ends = [a ^ b for a, b in g.edges]  # the far end of eid from u is ends[eid] ^ u
 
     # Best-so-far, seeded with the best trivial trail.
     if v3_mask:
@@ -309,19 +309,23 @@ def max_trail(
     best_vs: tuple[int, ...] = (seed,)
     best_es: tuple[int, ...] = ()
 
-    def reach_mask(v: int, used: int) -> int:
+    def reach_mask(v: int, used: int, vmask: int, room: int) -> int:
+        """Vertices reachable from ``v`` over unused edges, or 0 once ``room``
+        of them lie outside ``vmask`` (the bound can then no longer prune)."""
         mask = 1 << v
         queue = [v]
-        while queue:
-            u = queue.pop()
+        for u in queue:
             for eid in inc[u]:
                 if used >> eid & 1:
                     continue
-                a, b = edges[eid]
-                w = b if a == u else a
+                w = ends[eid] ^ u
                 bit = 1 << w
                 if not mask & bit:
                     mask |= bit
+                    if not vmask & bit:
+                        room -= 1
+                        if not room:
+                            return 0
                     queue.append(w)
         return mask
 
@@ -332,7 +336,10 @@ def max_trail(
         if count > best_count or (count == best_count and cov > best_cov):
             best_count, best_cov = count, cov
             best_vs, best_es = tuple(path_v), tuple(path_e)
-        ub = vmask | reach_mask(v, used)
+        reach = reach_mask(v, used, vmask, best_count + 1 - count)
+        if not reach:
+            return _EXPAND
+        ub = vmask | reach
         ub_count = ub.bit_count()
         if ub_count < best_count:
             return _PRUNE

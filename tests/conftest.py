@@ -69,3 +69,20 @@ def connected_multigraphs(draw, max_vertices: int = 6, max_extra_edges: int = 5)
     g = MultiGraph(n, tuple(edges))
     assert is_connected(g)
     return g
+
+
+@st.composite
+def long_branch_graphs(draw, max_vertices: int = 4, max_extra_edges: int = 2, max_edges: int = 10):
+    """Connected multigraphs with some edges subdivided into paths of 2-5 edges."""
+    g = draw(connected_multigraphs(max_vertices, max_extra_edges))
+    n, edges = g.vertex_count, list(g.edges)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        room = max_edges - len(edges)
+        if not edges or room < 1:
+            break
+        j = draw(st.integers(min_value=0, max_value=len(edges) - 1))
+        inner = draw(st.integers(min_value=1, max_value=min(4, room)))
+        chain = [edges[j][0], *range(n, n + inner), edges[j][1]]
+        n += inner
+        edges[j:j + 1] = list(zip(chain, chain[1:]))
+    return MultiGraph(n, tuple(edges))

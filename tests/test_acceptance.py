@@ -135,7 +135,7 @@ def test_criterion_6_trail_bound_sharpness():
 
 
 def test_criterion_7_neighbor_bound_sharpness():
-    for s in (1, 2):
+    for s in (1, 2, 3):
         g = fig4b(s)
         assert delta_prime(g) == 6
         assert d3_doublestar(g) == 13

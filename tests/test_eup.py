@@ -1,5 +1,8 @@
 """Condition checking and witness search for the subgraph families."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,14 +12,14 @@ from itline.eup import (
     VARIANT_EU,
     VARIANT_EUP,
     _ball_masks,
-    _balls_link,
     _proximity_components_ok,
+    _reach,
     canonical_candidate,
     check_conditions,
     find_witness,
     witness_to_json,
 )
-from itline.families import cycle, fig1, fig2, fig4b, path, star
+from itline.families import cycle, fig1, fig2, fig3, fig4b, path, star
 from itline.graphcore import (
     DisconnectedGraphError,
     InputError,
@@ -27,7 +30,7 @@ from itline.graphcore import (
     subgraph_distance,
 )
 
-from .conftest import connected_multigraphs
+from .conftest import connected_multigraphs, long_branch_graphs
 from .oracles import brute_witness_exists
 
 
@@ -149,31 +152,68 @@ def test_budget_exhaustion_returns_unknown():
 
 
 def test_exhaustive_search_tree_is_pinned():
-    # fig4b(1) has no EUP_2 witness; proving it expands 365,179 nodes in the
-    # generator's edge order.  A cheaper leaf test must not change that tree.
-    g = fig4b(1)
-    starved = find_witness(g, 2, VARIANT_EUP, node_budget=365_178)
-    assert isinstance(starved, Unknown) and starved.budget_spent == 365_179
-    assert find_witness(g, 2, VARIANT_EUP, node_budget=365_179) is None
+    # Neither graph has an EUP_2 witness.  With the proximity lookahead,
+    # proving it for fig4b(1) expands 8,333 nodes in the generator's edge
+    # order (365,179 without).  On fig3(1,6), excluded stretches of the long
+    # pendant branches cut their far ends off the required items, so its
+    # 308-node tree also depends on the test that an include meets them.
+    for g, nodes in ((fig4b(1), 8_333), (fig3(1, 6), 308)):
+        starved = find_witness(g, 2, VARIANT_EUP, node_budget=nodes - 1)
+        assert isinstance(starved, Unknown) and starved.budget_spent == nodes
+        assert find_witness(g, 2, VARIANT_EUP, node_budget=nodes) is None
+
+
+# sha256 of the first witnesses (sorted edge ids and isolated vertices, or
+# None) on the graphs below at k = 1, 2, 3 for eu and eup, as the search found
+# them before it had the proximity lookahead.  A sound prune removes only
+# subtrees without a witness, so the first witness in search order stays.
+FIRST_WITNESS_DIGEST = "31bbcce0d9bf6244b41833b0967521b202e4756af0c54c1fd8ae87a9a35697a0"
+
+
+def test_first_witnesses_match_pinned_digest(corpus6):
+    graphs = list(corpus6) + [
+        fig1(), fig2(1), fig2(2), fig2(3), fig3(1, 6), fig3(2, 7), fig4b(1),
+    ]
+    entries = []
+    for g in graphs:
+        for k in (1, 2, 3):
+            for variant in (VARIANT_EU, VARIANT_EUP):
+                w = find_witness(g, k, variant)
+                assert not isinstance(w, Unknown)
+                entries.append(
+                    None if w is None else [sorted(w.edge_ids), sorted(w.extra_vertices)]
+                )
+    assert len(entries) == 900 and entries.count(None) == 61
+    blob = json.dumps(entries, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == FIRST_WITNESS_DIGEST
 
 
 @settings(deadline=None, max_examples=60)
 @given(connected_multigraphs(max_vertices=7, max_extra_edges=5), st.data())
 def test_ball_mask_proximity_matches_distance_table(g, data):
+    # The reach of the lookahead, with exactly H's items available, against
+    # the component-and-distance-table reading of proximity.
     chosen = data.draw(st.integers(0, (1 << g.edge_count) - 1))
-    edges = [e for e in range(g.edge_count) if chosen >> e & 1]
-    cand = canonical_candidate(g, edges)
+    edges = [g.edges[e] for e in range(g.edge_count) if chosen >> e & 1]
+    cand = canonical_candidate(g, [e for e in range(g.edge_count) if chosen >> e & 1])
     comps = subgraph_components(g, cand)
     dist = all_pairs_distances(g)
-    v3_mask = sum(1 << v for v in range(g.vertex_count) if g.degree(v) >= 3)
+    need = sum(1 << v for v in range(g.vertex_count) if g.degree(v) >= 3)
+    for u, v in edges:
+        need |= (1 << u) | (1 << v)
+
+    def hops(x):
+        mask = 0
+        for u, v in edges:
+            if x in (u, v):
+                mask |= 1 << (u ^ v ^ x)
+        return mask
+
     for k in (1, 2, 3, 4):
         ball = _ball_masks(g, k - 1)
-        masks = [
-            ((1 << u) | (1 << v), ball[u] | ball[v])
-            for u, v in (g.edges[e] for e in edges)
-        ]
         want, _ = _proximity_components_ok(comps, dist, k)
-        assert _balls_link(masks, v3_mask, ball) == want
+        got = not need or _reach(need & -need, need, ball, None if k > 1 else hops) == need
+        assert got == want
 
 
 def test_witness_json_shape():
@@ -189,10 +229,16 @@ def test_witness_json_shape():
 
 
 @settings(deadline=None, max_examples=40)
-@given(connected_multigraphs(max_vertices=5, max_extra_edges=3))
+@given(
+    st.one_of(
+        connected_multigraphs(max_vertices=5, max_extra_edges=3),
+        long_branch_graphs(max_edges=10),
+    )
+)
 def test_search_matches_raw_enumeration(g):
     # Dual route: the pruned search against unstructured subset enumeration.
-    for k in (1, 2):
+    # Long branches are where the proximity lookahead cuts subtrees.
+    for k in (1, 2, 3):
         for variant in (VARIANT_EU, VARIANT_EUP):
             found = find_witness(g, k, variant)
             assert not isinstance(found, Unknown)
