@@ -189,6 +189,48 @@ def is_connected(g: MultiGraph) -> bool:
     return len(connected_components(g)) == 1
 
 
+def bridges(g: MultiGraph) -> frozenset[int]:
+    """Edge ids whose removal splits their component.
+
+    Iterative lowpoint DFS: the tree edge into ``w`` is a bridge iff no other
+    edge leads from ``w``'s subtree to a vertex discovered before ``w``.  The
+    edge the walk came in by is the only one skipped, by id, so each edge of
+    a parallel pair is a back edge for the other and neither is a bridge.
+    """
+    n, inc, edges = g.vertex_count, g.incidence, g.edges
+    disc = [-1] * n
+    low = [0] * n
+    found: set[int] = set()
+    clock = 0
+    for root in range(n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        stack = [(root, -1, iter(inc[root]))]
+        while stack:
+            v, via, steps = stack[-1]
+            for eid in steps:
+                if eid == via:
+                    continue
+                a, b = edges[eid]
+                w = b if a == v else a
+                if disc[w] < 0:
+                    disc[w] = low[w] = clock
+                    clock += 1
+                    stack.append((w, eid, iter(inc[w])))
+                    break
+                low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] > disc[u]:
+                        found.add(via)
+    return frozenset(found)
+
+
 def diameter(g: MultiGraph) -> int:
     """Greatest distance between two vertices; raises on disconnected input."""
     if not is_connected(g):

@@ -7,7 +7,21 @@ components that are bare cycles of degree-2 vertices contribute no branches.
 
 The trail searches (maximum trail, dominating trail) are exact backtracking
 with memoized pruning on one explicit-stack walk, so long inputs need no
-recursion; on budget exhaustion they report Unknown rather than None.
+recursion; on budget exhaustion they report Unknown rather than None.  Three
+prunes keep the walk small, each exact by a one-line fact:
+
+* An open walk starts only at odd-degree vertices (at vertex 0 when there
+  are none).  Extending a trail loses no vertex, covered degree->=3 vertex
+  or domination, so an optimal or dominating trail can be taken maximal; a
+  maximal open trail has used every edge at its ends, which are therefore
+  odd, and a maximal closed trail exists only when G is Eulerian (otherwise
+  it extends at an odd vertex on it, or by a path to one off it), where an
+  Euler circuit can start at 0.  So the first open trail found follows this
+  odd-start order.
+* A closed walk never steps onto a bridge: a closed trail is an
+  edge-disjoint union of cycles, and no cycle uses a bridge.
+* A vertex set dominates iff the vertices outside it are independent, which
+  is tested on neighbour bitmasks, one per vertex outside, not per edge.
 """
 
 from __future__ import annotations
@@ -21,6 +35,7 @@ from .graphcore import (
     InputError,
     MultiGraph,
     Trail,
+    bridges,
     is_connected,
     trivial_trail,
 )
@@ -193,14 +208,17 @@ def _walk_trails(
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Depth-first walk over the trails of ``g``, on an explicit stack.
 
-    Trails start at each vertex in turn and grow by one unused edge at a
-    time, in incidence order.  Every step costs one ``budget.tick()``; a
+    Trails start at each start vertex in turn and grow by one unused edge at
+    a time, in incidence order.  Every step costs one ``budget.tick()``; a
     step into a state (end vertex, used-edge mask) seen before goes no
     further.  Otherwise ``visit(v, used, vmask, path_v, path_e)`` answers
     _STOP, _PRUNE or _EXPAND for the trail ``path_v``/``path_e`` ending at
-    ``v``.  A closed trail can start at its smallest vertex, so a closed walk
-    only steps to vertices >= start and forgets its states at each new start;
-    it visits only nonempty trails back at their start and expands all others.
+    ``v``.  An open walk starts at the odd-degree vertices only, or at 0 when
+    there are none (see the module docstring), and visits every trail.  A
+    closed trail can start at its smallest vertex, so a closed walk starts at
+    every vertex, only steps to vertices >= start, forgets its states at each
+    new start and counts the bridges as used from the outset; it visits only
+    nonempty trails back at their start and expands all others.
     Returns the trail ``visit`` stopped at, as (vertices, edge ids), or None.
     """
     inc = g.incidence
@@ -209,7 +227,13 @@ def _walk_trails(
     ends = [a ^ b for a, b in g.edges]
     tick = budget.tick
     seen: set[tuple[int, int]] = set()
-    for start in range(g.vertex_count):
+    if closed:
+        starts: Iterable[int] = range(g.vertex_count)
+        blocked = sum(1 << eid for eid in bridges(g))
+    else:
+        starts = [v for v in range(g.vertex_count) if len(inc[v]) % 2] or [0]
+        blocked = 0
+    for start in starts:
         if closed:
             seen = set()
         path_v = [start]
@@ -222,7 +246,7 @@ def _walk_trails(
             if action == _PRUNE:
                 continue
         stack = []
-        v, used, vmask, steps = start, 0, 1 << start, iter(inc[start])
+        v, used, vmask, steps = start, blocked, 1 << start, iter(inc[start])
         while True:
             for eid in steps:
                 if used >> eid & 1:
@@ -282,9 +306,15 @@ def max_trail(
     """Exhaustive search for a maximum trail.
 
     Objective: maximize the number of distinct vertices, then (tie-break)
-    the number of degree->=3 vertices covered.  States (current vertex, used
-    edges) determine all future extensions, so revisited states are skipped;
-    an optimistic reachability bound prunes the rest.
+    the number of degree->=3 vertices covered.  Extending a trail never
+    lowers either, so an optimal trail can be taken maximal, and trails
+    start at odd-degree vertices only (at 0 when G is Eulerian; see the
+    module docstring), in increasing order, which decides the witness among
+    equal optima.  States (current vertex, used edges) determine all future
+    extensions, so revisited states are skipped; an optimistic reachability
+    bound prunes the rest.  The bound is kept per depth: a step that uses
+    the last unused edge at the old end leaves it unchanged, so only other
+    steps search for the reach over unused edges.
     """
     if g.vertex_count == 0:
         raise InputError("max_trail requires a nonempty graph")
@@ -297,6 +327,7 @@ def max_trail(
             v3_mask |= 1 << v
     inc = g.incidence
     ends = [a ^ b for a, b in g.edges]  # the far end of eid from u is ends[eid] ^ u
+    inc_mask = [sum(1 << eid for eid in inc[v]) for v in range(n)]
 
     # Best-so-far, seeded with the best trivial trail.
     if v3_mask:
@@ -308,10 +339,16 @@ def max_trail(
     best_count = 1
     best_vs: tuple[int, ...] = (seed,)
     best_es: tuple[int, ...] = ()
+    # bounds[d]: (ub, whole) for the trail of d edges being expanded.  ``ub``
+    # holds the trail's vertices and those reachable from its end over unused
+    # edges: all of them when ``whole``, else more than the best count at the
+    # time.
+    bounds: list[tuple[int, bool]] = [(0, False)] * (m + 1)
 
-    def reach_mask(v: int, used: int, vmask: int, room: int) -> int:
-        """Vertices reachable from ``v`` over unused edges, or 0 once ``room``
-        of them lie outside ``vmask`` (the bound can then no longer prune)."""
+    def reach_mask(v: int, used: int, vmask: int, room: int) -> tuple[int, bool]:
+        """Vertices reachable from ``v`` over unused edges, and True; or those
+        found once ``room`` of them lie outside ``vmask`` (the bound can then
+        no longer prune), and False."""
         mask = 1 << v
         queue = [v]
         for u in queue:
@@ -325,9 +362,9 @@ def max_trail(
                     if not vmask & bit:
                         room -= 1
                         if not room:
-                            return 0
+                            return mask, False
                     queue.append(w)
-        return mask
+        return mask, True
 
     def visit(v: int, used: int, vmask: int, path_v: list[int], path_e: list[int]) -> int:
         nonlocal best_count, best_cov, best_vs, best_es
@@ -336,15 +373,22 @@ def max_trail(
         if count > best_count or (count == best_count and cov > best_cov):
             best_count, best_cov = count, cov
             best_vs, best_es = tuple(path_v), tuple(path_e)
-        reach = reach_mask(v, used, vmask, best_count + 1 - count)
-        if not reach:
-            return _EXPAND
-        ub = vmask | reach
-        ub_count = ub.bit_count()
-        if ub_count < best_count:
-            return _PRUNE
-        if ub_count == best_count and (ub & v3_mask).bit_count() <= best_cov:
-            return _PRUNE
+        depth = len(path_e)
+        ub, whole = 0, False
+        if depth and not inc_mask[path_v[-2]] & ~used:
+            # The step used the old end's last unused edge, so the new end
+            # reaches what the old end did, less the old end: ub is unchanged.
+            ub, whole = bounds[depth - 1]
+        if not whole and ub.bit_count() <= best_count:
+            reach, whole = reach_mask(v, used, vmask, best_count + 1 - count)
+            ub = vmask | reach
+        if whole:
+            ub_count = ub.bit_count()
+            if ub_count < best_count:
+                return _PRUNE
+            if ub_count == best_count and (ub & v3_mask).bit_count() <= best_cov:
+                return _PRUNE
+        bounds[depth] = ub, whole
         return _EXPAND
 
     try:
@@ -372,7 +416,14 @@ def find_dominating_trail(
     """First trail (closed, if requested) whose vertices touch every edge.
 
     Trivial one-vertex trails are admitted when a single vertex meets every
-    edge (stars).  Returns None only after exhausting the trail space.
+    edge (stars).  Returns None only after exhausting the trail space.  An
+    open search starts at odd-degree vertices only (at 0 when G is Eulerian),
+    in increasing order, so the first trail found follows that order: a
+    dominating trail extends to a maximal one, whose ends are odd.  A closed
+    search skips bridges, which no closed trail uses, so the first closed
+    trail is the one the walk over all edges would find.  Domination holds
+    iff no vertex off the trail has a neighbour off the trail, one bitmask
+    test per vertex off the trail.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("dominating-trail search requires a connected graph")
@@ -382,11 +433,22 @@ def find_dominating_trail(
         if len(inc[v]) == m:
             return trivial_trail(v)
 
-    edge_vmask = [(1 << u) | (1 << v) for u, v in g.edges]
+    nbr_mask = [0] * n
+    for u, w in g.edges:
+        nbr_mask[u] |= 1 << w
+        nbr_mask[w] |= 1 << u
+    everyone = (1 << n) - 1
 
     def visit(v: int, used: int, vmask: int, path_v: list[int], path_e: list[int]) -> int:
         # No single vertex dominates here, so no trivial trail stops.
-        return _STOP if all(map(vmask.__and__, edge_vmask)) else _EXPAND
+        off = everyone ^ vmask
+        rest = off
+        while rest:
+            bit = rest & -rest
+            if nbr_mask[bit.bit_length() - 1] & off:
+                return _EXPAND
+            rest ^= bit
+        return _STOP
 
     try:
         found = _walk_trails(g, Budget(node_budget, time_limit), closed, visit)

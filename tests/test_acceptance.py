@@ -8,6 +8,8 @@ do so explicitly and are never counted as confirmation.
 import time
 from collections import Counter
 
+import pytest
+
 from itline.budget import Unknown
 from itline.eup import VARIANT_EU, VARIANT_EUP, check_conditions, find_witness
 from itline.families import fig1, fig2, fig3, fig4b
@@ -75,6 +77,20 @@ def test_criterion_2_main_theorem_level2(corpus6_3e):
     elapsed = time.monotonic() - start
     assert elapsed < 600, f"criterion 2 took {elapsed:.1f}s"
     _report(2, f"level-2 equivalence on {len(corpus6_3e)} graphs in {elapsed:.0f}s")
+
+
+@pytest.mark.parametrize("n, agree", ((3, 34), (4, 13)))
+def test_criterion_2_main_theorem_higher_levels(corpus6_3e, n, agree):
+    # The claim is for every n >= 2.  The truth searches L^(n-1)(G) for a
+    # dominating trail; the direct oracle confirms it where L^n(G) has at
+    # most 20 vertices.
+    report = verify_theorem_main(corpus6_3e, n)
+    assert report.mismatches == 0
+    assert report.unknowns == 0
+    assert report.agreements == 140
+    tally = Counter(rec["cross_check"] for rec in report.records)
+    assert tally == {"agree": agree, "skipped": 140 - agree}
+    _report(2, f"level-{n} equivalence on {len(corpus6_3e)} graphs")
 
 
 def test_criterion_3_induction_step_k2(corpus_edges7):

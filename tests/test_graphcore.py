@@ -4,14 +4,16 @@ import math
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from itline.families import fig1, fig4b, path, star, two_cycle
+from itline.families import cycle, fig1, fig4b, path, star, two_cycle
 from itline.graphcore import (
     InputError,
     DisconnectedGraphError,
     MultiGraph,
     ParseError,
     Trail,
+    bridges,
     connected_components,
     diameter,
     incident_edges,
@@ -134,6 +136,28 @@ def test_diameter_disconnected_rejected():
 def test_connected_components():
     g = MultiGraph(5, ((0, 1), (1, 2), (3, 4)))
     assert connected_components(g) == (frozenset({0, 1, 2}), frozenset({3, 4}))
+
+
+def test_bridges_of_named_graphs():
+    assert bridges(MultiGraph(3, ((0, 1), (0, 1), (1, 2)))) == {2}
+    assert bridges(path(1500)) == frozenset(range(1499))
+    assert bridges(cycle(1500)) == frozenset()
+
+
+@given(multigraphs(max_vertices=6, max_edges=9), st.lists(st.integers(min_value=0), max_size=3))
+def test_bridges_match_edge_deletion(g, doubled):
+    # Dual route: an edge is a bridge iff deleting it leaves more components.
+    # Doubling some edges makes parallel pairs, which are never bridges.
+    if g.edge_count:
+        g = MultiGraph(g.vertex_count, g.edges + tuple(g.edges[i % g.edge_count] for i in doubled))
+    count = len(connected_components(g))
+    brute = {
+        eid
+        for eid in range(g.edge_count)
+        if len(connected_components(MultiGraph(g.vertex_count, g.edges[:eid] + g.edges[eid + 1:])))
+        > count
+    }
+    assert bridges(g) == brute
 
 
 def test_incident_edges_whole_graph():

@@ -1,5 +1,6 @@
 """Exact indices, the four upper bounds, and the direct-iteration cross-check."""
 
+import time
 from functools import partial
 
 import pytest
@@ -70,6 +71,27 @@ def test_long_inputs_answer_or_unknown(graph, search):
         assert starved is None
     else:
         assert isinstance(starved, Unknown) and starved.budget_spent == 51
+
+
+def test_long_trail_searches_answer():
+    # Odd starts, skipped bridges and the carried bound settle the trail
+    # searches on all three long graphs within the cap used above.  Each
+    # max_trail takes ~0.03 s on a 2-vCPU machine; without the carried
+    # bound, a reach search at every step from the broom's far end takes
+    # ~1.3 s.
+    for name, mt_star in (("path", 1500), ("cycle", 1500), ("broom", 1501)):
+        g = LONG_GRAPHS[name]
+        start = time.monotonic()
+        mt = max_trail(g, node_budget=20_000)
+        assert time.monotonic() - start < 0.5
+        assert isinstance(mt, MaxTrailResult)
+        assert (mt.mt_star, mt.d3_star) == (mt_star, 0)
+        assert isinstance(find_dominating_trail(g, closed=False, node_budget=20_000), Trail)
+        closed = find_dominating_trail(g, closed=True, node_budget=20_000)
+        if name == "cycle":
+            assert closed.closed and sorted(closed.edge_ids) == list(range(1500))
+        else:
+            assert closed is None
 
 
 def test_path_index_of_stars():

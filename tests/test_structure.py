@@ -1,10 +1,13 @@
 """Degree classes, branches, pendent cycles, maximum and dominating trails."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from itline.budget import Unknown
-from itline.families import cycle, fig1, fig2, fig3, path, star, two_cycle
+from itline.families import cycle, fig1, fig2, fig3, fig4b, path, star, two_cycle
 from itline.graphcore import (
     DisconnectedGraphError,
     MultiGraph,
@@ -22,7 +25,7 @@ from itline.structure import (
     pendent_cycles,
 )
 
-from .conftest import connected_multigraphs, multigraphs
+from .conftest import connected_multigraphs, long_branch_graphs, multigraphs
 from .oracles import brute_branches, two_pendant_cycles_graph
 
 
@@ -145,8 +148,16 @@ def test_max_trail_budget_exhaustion_is_unknown():
     assert result.operation == "max_trail"
 
 
+# Bridges and long odd-ended branches are where the odd-start and bridge
+# prunes cut the trail walks.
+BRANCHY_GRAPHS = st.one_of(
+    connected_multigraphs(max_vertices=5, max_extra_edges=3),
+    long_branch_graphs(max_edges=10),
+)
+
+
 @settings(deadline=None, max_examples=40)
-@given(connected_multigraphs(max_vertices=5, max_extra_edges=3))
+@given(BRANCHY_GRAPHS)
 def test_max_trail_matches_unmemoized_enumeration(g):
     # Dual route for the memoized pruning search.
     from .oracles import brute_max_trail_stats
@@ -156,7 +167,7 @@ def test_max_trail_matches_unmemoized_enumeration(g):
 
 
 @settings(deadline=None, max_examples=40)
-@given(connected_multigraphs(max_vertices=5, max_extra_edges=3))
+@given(BRANCHY_GRAPHS)
 def test_dominating_trail_existence_matches_enumeration(g):
     from .oracles import brute_has_dominating_trail
 
@@ -175,6 +186,27 @@ def test_max_trail_witness_consistency(g):
     v3 = {v for v in range(g.vertex_count) if g.degree(v) >= 3}
     assert mt.mt_star == len(visited)
     assert mt.d3_star == len(v3 - visited)
+
+
+def test_trail_search_trees_are_pinned():
+    # Nodes expanded.  On fig3(1,6), starting open walks at odd vertices only
+    # takes max_trail from 398 to 255 nodes and the open dominating search
+    # from 1,458 to 654, and skipping bridges takes the closed search from
+    # 523 to 70.  max_trail on fig4b(1) (1,264 to 948) also meets carried
+    # bounds too small to expand on, which must be searched again.  A lost
+    # prune grows a tree past its pin.
+    open_search = partial(find_dominating_trail, closed=False)
+    closed_search = partial(find_dominating_trail, closed=True)
+    cases = (
+        (fig3(1, 6), max_trail, 255),
+        (fig3(1, 6), open_search, 654),
+        (fig3(1, 6), closed_search, 70),
+        (fig4b(1), max_trail, 948),
+    )
+    for g, run, nodes in cases:
+        starved = run(g, node_budget=nodes - 1)
+        assert isinstance(starved, Unknown) and starved.budget_spent == nodes
+        assert not isinstance(run(g, node_budget=nodes), Unknown)
 
 
 # --- dominating trails ------------------------------------------------------
