@@ -12,7 +12,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 class GraphError(Exception):
@@ -379,6 +379,19 @@ class Trail:
 
 def trivial_trail(v: int) -> Trail:
     return Trail((v,), (), True)
+
+
+def trail_from_order(g: MultiGraph, order: Sequence[int], closed: bool = False) -> Trail:
+    """The trail along a vertex order, back to its start when ``closed``.
+
+    Consecutive vertices are joined by the smallest edge id between them.
+    """
+    verts = tuple(order) + (order[0],) if closed else tuple(order)
+    eids = tuple(
+        next(e for e in g.incidence[a] if g.other_end(e, a) == b)
+        for a, b in zip(verts, verts[1:])
+    )
+    return Trail(verts, eids, verts[0] == verts[-1])
 
 
 def validate_trail(g: MultiGraph, t: Trail) -> None:

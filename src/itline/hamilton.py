@@ -25,6 +25,7 @@ from .graphcore import (
     MultiGraph,
     Trail,
     is_connected,
+    trail_from_order,
     validate_trail,
 )
 from .linegraph import line_graph
@@ -194,7 +195,7 @@ def _oracle(
     if n == 1:
         return OracleAnswer(True, (0,))
     if cycle and n == 2:
-        ok = sum(1 for e in g.edges if set(e) == {0, 1}) >= 2
+        ok = is_hamiltonian_cycle(g, (0, 1))
         return OracleAnswer(ok, (0, 1) if ok else None)
     budget = Budget(node_budget, time_limit)
     try:
@@ -236,16 +237,6 @@ def _check_dominating(g: MultiGraph, t: Trail) -> None:
             raise InputError(f"trail is not dominating: edge {eid}=({u},{v}) untouched")
 
 
-def _line_trail(lg: MultiGraph, seq: list[int], closed: bool) -> Trail:
-    index = {}
-    for eid, (a, b) in enumerate(lg.edges):
-        index[(a, b)] = eid
-        index[(b, a)] = eid
-    verts = seq + [seq[0]] if closed else seq
-    eids = [index[(verts[i], verts[i + 1])] for i in range(len(verts) - 1)]
-    return Trail(tuple(verts), tuple(eids), closed or len(verts) == 1)
-
-
 def _splice(g: MultiGraph, t: Trail) -> list[int]:
     """Line-graph vertex sequence of a dominating trail of ``g``.
 
@@ -282,7 +273,7 @@ def lift_trail_to_path(g: MultiGraph, t: Trail) -> Trail:
     lg = line_graph(g).graph
     if not is_hamiltonian_path(lg, tuple(seq)):
         raise GraphError("internal: lifted sequence is not a hamiltonian path")
-    return _line_trail(lg, seq, closed=False)
+    return trail_from_order(lg, seq)
 
 
 def lift_closed_trail_to_cycle(g: MultiGraph, t: Trail) -> Trail:
@@ -296,4 +287,4 @@ def lift_closed_trail_to_cycle(g: MultiGraph, t: Trail) -> Trail:
     lg = line_graph(g).graph
     if not is_hamiltonian_cycle(lg, tuple(seq)):
         raise GraphError("internal: lifted sequence is not a hamiltonian cycle")
-    return _line_trail(lg, seq, closed=True)
+    return trail_from_order(lg, seq, closed=True)

@@ -49,10 +49,10 @@ from .structure import branches, find_dominating_trail, max_trail
 
 ENUMERATION_VERTEX_LIMIT = 7
 
-#: The main campaign confirms its ground truth with the direct oracle only on
-#: L^n(G) of at most this many vertices.  Kept at 20, the cap its reports were
-#: first written with, so that main-campaign records (``cross_check`` agree or
-#: skipped) stay unchanged.
+#: The main campaign confirms a dominating-trail ground truth with the direct
+#: oracle only on L^n(G) of at most this many vertices.  Kept at 20, the cap
+#: its reports were first written with, so that main-campaign records
+#: (``cross_check`` agree or skipped) stay unchanged.
 CROSS_CHECK_MAX_VERTICES = 20
 
 
@@ -207,80 +207,24 @@ def enumerate_connected_graphs(
             yield graph_from_key(key)
 
 
-def _prufer_tree(n: int, seq: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    import heapq
-
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, x))
-        degree[leaf] -= 1
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((u, v))
-    return tuple(edges)
-
-
-def _tree_certificate(n: int, edges: tuple[tuple[int, int], ...]) -> str:
-    """Canonical string for a labeled tree: encode rooted at the center(s)."""
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    # Peel leaves to find the 1- or 2-vertex center.
-    deg = [len(s) for s in nbrs]
-    layer = [v for v in range(n) if deg[v] <= 1]
-    remaining = n
-    alive = [True] * n
-    while remaining > 2:
-        nxt = []
-        for v in layer:
-            alive[v] = False
-            remaining -= 1
-            for w in nbrs[v]:
-                if alive[w]:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    centers = [v for v in range(n) if alive[v]]
-
-    def encode(v: int, parent: int) -> str:
-        subs = sorted(encode(w, v) for w in nbrs[v] if w != parent and w != v)
-        return "(" + "".join(subs) + ")"
-
-    if len(centers) == 1:
-        return "C" + encode(centers[0], -1)
-    a, b = centers
-    return "B" + "".join(sorted((encode(a, b), encode(b, a))))
-
-
 def enumerate_trees(n: int) -> list[MultiGraph]:
-    """All trees on ``n`` vertices up to isomorphism."""
+    """All trees on ``n`` vertices up to isomorphism, in canonical form.
+
+    Leaf augmentation: every tree on n >= 2 vertices has a leaf, so joining
+    a new vertex to each vertex of each tree on n-1 vertices reaches every
+    tree on n, and ``canonical_key`` drops the repeats.
+    """
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
-    if n == 1:
-        return [MultiGraph(1, ())]
-    if n == 2:
-        return [MultiGraph(2, ((0, 1),))]
-    seen: set[str] = set()
-    out = []
-    for seq in product(range(n), repeat=n - 2):
-        edges = _prufer_tree(n, seq)
-        cert = _tree_certificate(n, edges)
-        if cert in seen:
-            continue
-        seen.add(cert)
-        out.append(MultiGraph(n, edges))
-    return out
+    keys = [(1, 0)]
+    for size in range(2, n + 1):
+        grown: dict[tuple[int, int], None] = {}
+        for key in keys:
+            edges = graph_from_key(key).edges
+            for v in range(size - 1):
+                grown[canonical_key(MultiGraph(size, edges + ((v, size - 1),)))] = None
+        keys = list(grown)
+    return [graph_from_key(key) for key in keys]
 
 
 def corpus_graphs(
@@ -299,8 +243,7 @@ def corpus_by_edge_cap(max_edges: int, *, min_edges: int = 0) -> list[MultiGraph
     """All connected simple graphs with at most ``max_edges`` edges.
 
     A connected graph on n vertices needs n-1 edges, so vertex counts run up
-    to max_edges + 1; the sizes beyond the labeled-enumeration limit can only
-    be trees.
+    to max_edges + 1, and that last size holds only trees.
     """
     if max_edges > ENUMERATION_VERTEX_LIMIT:
         # Beyond this the sizes past the labeled-enumeration limit would
@@ -309,13 +252,12 @@ def corpus_by_edge_cap(max_edges: int, *, min_edges: int = 0) -> list[MultiGraph
             f"edge caps beyond {ENUMERATION_VERTEX_LIMIT} are out of range"
         )
     out = []
-    for n in range(1, min(max_edges + 1, ENUMERATION_VERTEX_LIMIT) + 1):
+    for n in range(1, max_edges + 1):
         for g in enumerate_connected_graphs(n, max_edges=max_edges):
             if g.edge_count >= min_edges:
                 out.append(g)
-    n = max_edges + 1
-    if n > ENUMERATION_VERTEX_LIMIT and n - 1 >= min_edges:
-        out.extend(enumerate_trees(n))
+    if max_edges >= max(min_edges, 0):
+        out.extend(enumerate_trees(max_edges + 1))
     return out
 
 
@@ -465,11 +407,15 @@ def _main_record(
     rec["truth_route"] = route
     if truth_unknown is not None:
         unknown = unknown or truth_unknown
-    # Opportunistic direct cross-check of the ground truth itself, on
-    # L^n(G) = L(base) when it exists and has few enough vertices (one per
-    # edge of base).
+    # Opportunistic direct cross-check of a dominating-trail truth, on
+    # L^n(G) = L(base) when it has few enough vertices (one per edge of
+    # base).  A direct-oracle truth already is that check.
     rec["cross_check"] = "skipped"
-    if truth is not None and 0 < base.edge_count <= CROSS_CHECK_MAX_VERTICES:
+    if (
+        route == "dominating-trail"
+        and truth is not None
+        and base.edge_count <= CROSS_CHECK_MAX_VERTICES
+    ):
         direct = has_hamiltonian_path(line_graph(base).graph)
         if not isinstance(direct, Unknown):
             rec["cross_check"] = "agree" if direct.value == truth else "conflict"

@@ -22,6 +22,7 @@ from .graphcore import (
     Trail,
     diameter,
     is_connected,
+    trail_from_order,
 )
 from .hamilton import OracleAnswer, has_hamiltonian_cycle, has_hamiltonian_path
 from .linegraph import CapExceededError, EdgelessGraphError, iterated_line_graph
@@ -63,15 +64,6 @@ class CrossCheck:
     detail: str = ""
 
 
-def _trail_from_order(g: MultiGraph, order: tuple[int, ...]) -> Trail:
-    eids = []
-    for i in range(len(order) - 1):
-        want = {order[i], order[i + 1]}
-        eid = next(e for e in g.incidence[order[i]] if set(g.endpoints(e)) == want)
-        eids.append(eid)
-    return Trail(order, tuple(eids), closed=len(order) > 0 and order[0] == order[-1])
-
-
 def _index(
     g: MultiGraph,
     name: str,
@@ -92,7 +84,7 @@ def _index(
     if isinstance(answer, Unknown):
         return Unknown(name, answer.budget_spent, answer.detail)
     if answer.value:
-        return IndexResult(0, "direct-oracle", kind, _trail_from_order(g, answer.order))
+        return IndexResult(0, "direct-oracle", kind, trail_from_order(g, answer.order))
     if g.edge_count < 3:
         # Connected graphs with fewer than three edges are all traceable,
         # and hamiltonian unless they are paths.

@@ -152,49 +152,17 @@ def cycle_component_edges(g: MultiGraph) -> tuple[tuple[int, ...], ...]:
 def pendent_cycles(g: MultiGraph) -> tuple[Trail, ...]:
     """Cycles meeting the degree->=3 vertex set in exactly one vertex.
 
-    Cycles are edge sets here: a 2-cycle (two parallel edges) counts, and
-    parallel alternatives along the same vertex sequence are distinct cycles.
-    Each is returned as a closed trail starting at its smallest vertex.
+    These are exactly the closed branches: the other vertices of such a
+    cycle have degree 2, so the branch walk from its one degree->=3 vertex
+    goes round it and back.  A 2-cycle (two parallel edges) counts.  Each is
+    returned as a closed trail that starts at that attachment vertex and
+    leaves it by the smaller of its two edges there; the trails are sorted
+    by their sorted edge ids.
     """
-    n = g.vertex_count
-    v3 = frozenset(v for v in range(n) if g.degree(v) >= 3)
-    seen: set[frozenset[int]] = set()
-    out: list[Trail] = []
-
-    def record(verts: list[int], eids: list[int]) -> None:
-        key = frozenset(eids)
-        if key in seen:
-            return
-        seen.add(key)
-        if len([v for v in verts if v in v3]) != 1:
-            return
-        # Canonical orientation: the direction with the smaller edge tuple.
-        fwd = tuple(eids)
-        rev = tuple(reversed(eids))
-        if rev < fwd:
-            verts = [verts[0]] + list(reversed(verts[1:]))
-            eids = list(rev)
-        out.append(Trail(tuple(verts) + (verts[0],), tuple(eids), True))
-
-    inc = g.incidence
-    for s in range(n):
-        # Paths from s through vertices > s only, closing back at s.
-        stack: list[tuple[int, list[int], list[int]]] = [(s, [s], [])]
-        while stack:
-            v, verts, eids = stack.pop()
-            for eid in inc[v]:
-                if eid in eids:
-                    continue
-                w = g.other_end(eid, v)
-                if w == s:
-                    if len(eids) >= 1:
-                        record(verts, eids + [eid])
-                    continue
-                if w < s or w in verts:
-                    continue
-                stack.append((w, verts + [w], eids + [eid]))
-    out.sort(key=lambda t: tuple(sorted(t.edge_ids)))
-    return tuple(out)
+    closed = sorted(
+        (b for b in branches(g) if b.is_closed), key=lambda b: sorted(b.edge_ids)
+    )
+    return tuple(Trail(b.vertices, b.edge_ids, True) for b in closed)
 
 
 _STOP, _PRUNE, _EXPAND = range(3)

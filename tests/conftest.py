@@ -86,3 +86,21 @@ def long_branch_graphs(draw, max_vertices: int = 4, max_extra_edges: int = 2, ma
         n += inner
         edges[j:j + 1] = list(zip(chain, chain[1:]))
     return MultiGraph(n, tuple(edges))
+
+
+@st.composite
+def attached_cycle_graphs(draw, max_edges: int = 12):
+    """``long_branch_graphs`` with up to two cycles of 2-4 edges hung at one
+    vertex each, edges in random order."""
+    g = draw(long_branch_graphs(max_edges=max_edges - 2))
+    n, edges = g.vertex_count, list(g.edges)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        room = max_edges - len(edges)
+        if room < 2:
+            break
+        at = draw(st.integers(min_value=0, max_value=n - 1))
+        inner = draw(st.integers(min_value=1, max_value=min(3, room - 1)))
+        chain = [at, *range(n, n + inner), at]
+        n += inner
+        edges.extend(zip(chain, chain[1:]))
+    return MultiGraph(n, tuple(draw(st.permutations(edges))))

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's own algorithms: distances
 via Floyd-Warshall, traceability via permutations or a Held-Karp subset
-dynamic program, branches via filtered path enumeration, witness nonemptiness via raw subset enumeration.  These are the
-second route for every dual-checked result.
+dynamic program, branches via filtered path enumeration, pendent cycles and
+witness nonemptiness via raw subset enumeration.  These are the second route
+for every dual-checked result.
 """
 
 from __future__ import annotations
@@ -129,6 +130,36 @@ def brute_branches(g: MultiGraph) -> set[frozenset[int]]:
     for v in sorted(w):
         walk(v, [v], [], v)
     return found
+
+
+def brute_pendent_cycles(g: MultiGraph) -> list[tuple[int, ...]]:
+    """Edge ids of every cycle that meets the degree->=3 set in one vertex,
+    ascending, from every edge subset: a cycle is a connected edge set in
+    which each vertex it touches has degree 2.  Only for <= 12 edges."""
+    m = g.edge_count
+    assert m <= 12, "subset enumeration is for small graphs"
+    v3 = {v for v in range(g.vertex_count) if g.degree(v) >= 3}
+    found = []
+    for mask in range(1, 1 << m):
+        chosen = [eid for eid in range(m) if mask >> eid & 1]
+        deg: dict[int, int] = {}
+        for eid in chosen:
+            for v in g.edges[eid]:
+                deg[v] = deg.get(v, 0) + 1
+        if any(d != 2 for d in deg.values()) or len(set(deg) & v3) != 1:
+            continue
+        reached = {g.edges[chosen[0]][0]}
+        grew = True
+        while grew:
+            grew = False
+            for eid in chosen:
+                u, v = g.edges[eid]
+                if (u in reached) != (v in reached):
+                    reached |= {u, v}
+                    grew = True
+        if reached == set(deg):
+            found.append(tuple(chosen))
+    return sorted(found)
 
 
 def brute_witness_exists(g: MultiGraph, k: int, variant: str) -> bool:

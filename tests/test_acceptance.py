@@ -70,16 +70,17 @@ def test_criterion_2_main_theorem_level2(corpus6_3e):
     assert report.mismatches == 0
     assert report.unknowns == 0
     assert report.agreements == 140
-    # L^2(G) has at most 20 vertices on 96 graphs, where the direct oracle
-    # confirms the ground truth; the other 44 skip the cross-check.
+    # L^2(G) has at most 20 vertices on 96 graphs.  On 95 of them the direct
+    # oracle confirms a dominating-trail ground truth; on the other, the truth
+    # already is the direct oracle, and the cross-check is skipped.
     tally = Counter(rec["cross_check"] for rec in report.records)
-    assert tally == {"agree": 96, "skipped": 44}
+    assert tally == {"agree": 95, "skipped": 45}
     elapsed = time.monotonic() - start
     assert elapsed < 600, f"criterion 2 took {elapsed:.1f}s"
     _report(2, f"level-2 equivalence on {len(corpus6_3e)} graphs in {elapsed:.0f}s")
 
 
-@pytest.mark.parametrize("n, agree", ((3, 34), (4, 13)))
+@pytest.mark.parametrize("n, agree", ((3, 32), (4, 11)))
 def test_criterion_2_main_theorem_higher_levels(corpus6_3e, n, agree):
     # The claim is for every n >= 2.  The truth searches L^(n-1)(G) for a
     # dominating trail; the direct oracle confirms it where L^n(G) has at

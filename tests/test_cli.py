@@ -101,6 +101,26 @@ def test_corpus_emission_and_ingestion(capsys, tmp_path):
     assert json.loads(out2)["mismatches"] == 0
 
 
+def test_corpus_by_edge_cap_prints_canonical_graph6(capsys, monkeypatch, corpus_edges7):
+    # The enumeration runs once per session, in the fixture; the CLI gets it
+    # from there.
+    import itline.cli
+    from itline.harness import graph_id
+
+    def cached(max_edges, *, min_edges=0):
+        assert (max_edges, min_edges) == (7, 0)
+        return corpus_edges7
+
+    monkeypatch.setattr(itline.cli, "corpus_by_edge_cap", cached)
+    code, out, _ = run(capsys, "corpus", "--max-edges", "7")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == len(set(lines)) == 132
+    graphs = [parse_graph6(line) for line in lines]
+    assert [graph_id(g) for g in graphs] == lines
+    assert sum(1 for g in graphs if g.vertex_count == 8) == 23
+
+
 def test_verify_main_writes_reports(capsys, tmp_path):
     outdir = tmp_path / "reports"
     code, out, _ = run(capsys, "verify", "--theorem", "main", "--max-vertices", "4",

@@ -56,8 +56,20 @@ def test_enumeration_edge_cap():
 
 
 def test_tree_counts():
-    for n, expected in ((1, 1), (2, 1), (3, 1), (4, 2), (5, 3), (6, 6), (7, 11), (8, 23)):
+    # OEIS A000055.
+    counts = ((1, 1), (2, 1), (3, 1), (4, 2), (5, 3), (6, 6), (7, 11), (8, 23), (9, 47))
+    for n, expected in counts:
         assert len(enumerate_trees(n)) == expected
+
+
+def test_trees_match_labeled_enumeration():
+    # Dual route: leaf augmentation against the labeled enumeration of
+    # connected graphs with n-1 edges, class for class.
+    for n in range(1, 8):
+        augmented = [canonical_key(g) for g in enumerate_trees(n)]
+        labeled = {canonical_key(g) for g in enumerate_connected_graphs(n, max_edges=n - 1)}
+        assert len(augmented) == len(set(augmented))
+        assert set(augmented) == labeled
 
 
 def test_corpus_by_edge_cap_contents(corpus_edges7):

@@ -25,8 +25,13 @@ from itline.structure import (
     pendent_cycles,
 )
 
-from .conftest import connected_multigraphs, long_branch_graphs, multigraphs
-from .oracles import brute_branches, two_pendant_cycles_graph
+from .conftest import (
+    attached_cycle_graphs,
+    connected_multigraphs,
+    long_branch_graphs,
+    multigraphs,
+)
+from .oracles import brute_branches, brute_pendent_cycles, two_pendant_cycles_graph
 
 
 def test_degree_classes_fig1():
@@ -109,6 +114,17 @@ def test_pendent_cycles_standalone_cycle_none():
 def test_pendent_cycles_fig2_none():
     # The hexagon meets three degree-3 vertices, so it is not pendent.
     assert pendent_cycles(fig2(1)) == ()
+
+
+@settings(deadline=None)
+@given(attached_cycle_graphs(max_edges=12))
+def test_pendent_cycles_match_subset_enumeration(g):
+    # Dual route for reading pendent cycles off the closed branches.
+    found = pendent_cycles(g)
+    assert [tuple(sorted(t.edge_ids)) for t in found] == brute_pendent_cycles(g)
+    for t in found:
+        validate_trail(g, t)
+        assert t.closed and g.degree(t.vertices[0]) >= 3
 
 
 # --- maximum trails ---------------------------------------------------------
