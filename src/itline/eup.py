@@ -30,8 +30,8 @@ from .graphcore import (
     InputError,
     MultiGraph,
     SubgraphH,
-    all_pairs_distances,
     is_connected,
+    mask_members,
     odd_vertices,
     subgraph,
     subgraph_components,
@@ -97,64 +97,62 @@ class ConditionReport:
         }
 
 
-def _proximity_components_ok(
-    comps: tuple[frozenset[int], ...],
-    dist: list[list[float]],
-    k: int,
+def _ball(nbr: tuple[int, ...], seed: int, radius: int) -> int:
+    """The vertices within ``radius`` of the vertex set ``seed``, as a bitmask."""
+    ball = frontier = seed
+    for _ in range(radius):
+        grow = 0
+        while frontier:
+            x = frontier.bit_length() - 1
+            frontier ^= 1 << x
+            grow |= nbr[x]
+        frontier = grow & ~ball
+        if not frontier:
+            break
+        ball |= frontier
+    return ball
+
+
+def _ball_masks(g: MultiGraph, radius: int) -> list[int]:
+    """Bitmask of the vertices within ``radius`` of each vertex."""
+    nbr = g.neighbor_masks
+    return [_ball(nbr, 1 << v, radius) for v in range(g.vertex_count)]
+
+
+def _proximity_ok(
+    g: MultiGraph, comps: tuple[frozenset[int], ...], k: int
 ) -> tuple[bool, str]:
     """Components must be mutually linkable through gaps of at most k-1.
 
     Equivalent to: for every bipartition of the components, some cross pair
     is within distance k-1; checked as connectivity of the threshold graph.
+    The class of the first component grows by every component that meets
+    the radius-(k-1) ball of a component already in it, so each component's
+    ball is grown once, by a BFS cut at depth k-1.
     """
-    p = len(comps)
-    if p <= 1:
+    if len(comps) <= 1:
         return True, ""
-    comp_lists = [sorted(c) for c in comps]
     threshold = k - 1
-    linked = [[False] * p for _ in range(p)]
-    for i in range(p):
-        for j in range(i + 1, p):
-            ok = any(
-                dist[u][v] <= threshold for u in comp_lists[i] for v in comp_lists[j]
-            )
-            linked[i][j] = linked[j][i] = ok
-    seen = [False] * p
-    stack = [0]
-    seen[0] = True
-    reached = 1
-    while stack:
-        i = stack.pop()
-        for j in range(p):
-            if linked[i][j] and not seen[j]:
-                seen[j] = True
-                reached += 1
-                stack.append(j)
-    if reached == p:
+    nbr = g.neighbor_masks
+    owner = [0] * g.vertex_count
+    masks = []
+    for i, comp in enumerate(comps):
+        masks.append(sum(1 << v for v in comp))
+        for v in comp:
+            owner[v] = i
+    rest = sum(masks[1:])
+    todo = [masks[0]]
+    while todo and rest:
+        hit = _ball(nbr, todo.pop(), threshold) & rest
+        while hit:
+            comp = masks[owner[hit.bit_length() - 1]]
+            hit &= ~comp
+            rest ^= comp
+            todo.append(comp)
+    if not rest:
         return True, ""
-    far = sorted(v for j in range(p) if not seen[j] for v in comp_lists[j])
+    far = mask_members(rest)
     return False, f"components on vertices {far} are farther than {threshold} from the rest"
-
-
-def _ball_masks(g: MultiGraph, radius: int) -> list[int]:
-    """Bitmask of the vertices within ``radius`` of each vertex (BFS cut at that depth)."""
-    nbrs = g.neighbor_sets
-    balls = []
-    for source in range(g.vertex_count):
-        ball = 1 << source
-        frontier = [source]
-        for _ in range(radius):
-            nxt = []
-            for u in frontier:
-                for w in nbrs[u]:
-                    if not ball >> w & 1:
-                        ball |= 1 << w
-                        nxt.append(w)
-            if not nxt:
-                break
-            frontier = nxt
-        balls.append(ball)
-    return balls
 
 
 def _reach(seed: int, alive: int, ball: list[int], hops=None) -> int:
@@ -169,7 +167,7 @@ def _reach(seed: int, alive: int, ball: list[int], hops=None) -> int:
     ``hops(x)`` gives their far ends at ``x``.  The class grows from
     ``seed`` over a vertex frontier, each vertex taken once.  Items are
     mutually linkable, the proximity condition of
-    :func:`_proximity_components_ok`, exactly when one reach holds all their
+    :func:`_proximity_ok`, exactly when one reach holds all their
     vertices.
     """
     reach = frontier = seed
@@ -220,7 +218,7 @@ def check_conditions(g: MultiGraph, h: SubgraphH, k: int, variant: str) -> Condi
         coverage = Verdict(True)
 
     comps = subgraph_components(g, h)
-    ok, detail = _proximity_components_ok(comps, all_pairs_distances(g), k)
+    ok, detail = _proximity_ok(g, comps, k)
     proximity = Verdict(ok, detail)
 
     avoided = Verdict(True)

@@ -9,7 +9,6 @@ immutable after construction; the operations are pure functions.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -76,12 +75,13 @@ class MultiGraph:
         return tuple(tuple(ids) for ids in inc)
 
     @cached_property
-    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        nbr: list[set[int]] = [set() for _ in range(self.vertex_count)]
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Distinct neighbours of each vertex as a bitmask (bit w set iff w is adjacent)."""
+        nbr = [0] * self.vertex_count
         for u, v in self.edges:
-            nbr[u].add(v)
-            nbr[v].add(u)
-        return tuple(frozenset(s) for s in nbr)
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+        return tuple(nbr)
 
     def check_vertex(self, v: int) -> None:
         if not (0 <= v < self.vertex_count):
@@ -108,27 +108,51 @@ class MultiGraph:
     def distinct_neighbors(self, v: int) -> frozenset[int]:
         """Neighbor set of ``v`` without multiplicity (parallel edges collapse)."""
         self.check_vertex(v)
-        return self.neighbor_sets[v]
+        return frozenset(mask_members(self.neighbor_masks[v]))
+
+
+def mask_members(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        x = mask.bit_length() - 1
+        out.append(x)
+        mask ^= 1 << x
+    out.reverse()
+    return out
+
+
+def _neighbor_lists(g: MultiGraph) -> list[list[int]]:
+    """The far end of every incident edge of each vertex (parallel edges repeat)."""
+    nbrs: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return nbrs
+
+
+def _bfs(nbrs: list[list[int]], source: int) -> list[float]:
+    dist: list[float] = [math.inf] * len(nbrs)
+    dist[source] = 0
+    queue = [source]
+    for u in queue:
+        du = dist[u] + 1
+        for w in nbrs[u]:
+            if dist[w] is math.inf:
+                dist[w] = du
+                queue.append(w)
+    return dist
 
 
 def bfs_distances(g: MultiGraph, source: int) -> list[float]:
     """Shortest-path distance from ``source`` to every vertex (inf if unreachable)."""
     g.check_vertex(source)
-    dist: list[float] = [math.inf] * g.vertex_count
-    dist[source] = 0
-    queue = deque([source])
-    nbrs = g.neighbor_sets
-    while queue:
-        u = queue.popleft()
-        for w in nbrs[u]:
-            if dist[w] is math.inf:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
+    return _bfs(_neighbor_lists(g), source)
 
 
 def all_pairs_distances(g: MultiGraph) -> list[list[float]]:
-    return [bfs_distances(g, v) for v in range(g.vertex_count)]
+    nbrs = _neighbor_lists(g)
+    return [_bfs(nbrs, v) for v in range(g.vertex_count)]
 
 
 def subgraph_distance(g: MultiGraph, a: Iterable[int], b: Iterable[int]) -> float:
@@ -144,14 +168,12 @@ def subgraph_distance(g: MultiGraph, a: Iterable[int], b: Iterable[int]) -> floa
         g.check_vertex(v)
     if aset & bset:
         return 0
+    nbrs = _neighbor_lists(g)
     dist: list[float] = [math.inf] * g.vertex_count
-    queue = deque()
-    for v in aset:
+    queue = list(aset)
+    for v in queue:
         dist[v] = 0
-        queue.append(v)
-    nbrs = g.neighbor_sets
-    while queue:
-        u = queue.popleft()
+    for u in queue:
         for w in nbrs[u]:
             if dist[w] is math.inf:
                 dist[w] = dist[u] + 1
@@ -161,32 +183,34 @@ def subgraph_distance(g: MultiGraph, a: Iterable[int], b: Iterable[int]) -> floa
     return math.inf
 
 
+def _flood(nbr: Sequence[int], seed: int) -> int:
+    """The vertices connected to the vertex set ``seed``, as a bitmask."""
+    reach = todo = seed
+    while todo:
+        x = todo.bit_length() - 1
+        todo ^= 1 << x
+        new = nbr[x] & ~reach
+        if new:
+            reach |= new
+            todo |= new
+    return reach
+
+
 def connected_components(g: MultiGraph) -> tuple[frozenset[int], ...]:
     """Vertex sets of the connected components, ordered by smallest member."""
-    seen = [False] * g.vertex_count
+    nbr = g.neighbor_masks
+    rest = (1 << g.vertex_count) - 1
     comps = []
-    nbrs = g.neighbor_sets
-    for s in range(g.vertex_count):
-        if seen[s]:
-            continue
-        comp = {s}
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in nbrs[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.add(w)
-                    queue.append(w)
-        comps.append(frozenset(comp))
+    while rest:
+        comp = _flood(nbr, rest & -rest)
+        rest ^= comp
+        comps.append(frozenset(mask_members(comp)))
     return tuple(comps)
 
 
 def is_connected(g: MultiGraph) -> bool:
-    if g.vertex_count == 0:
-        return False
-    return len(connected_components(g)) == 1
+    n = g.vertex_count
+    return n > 0 and _flood(g.neighbor_masks, 1) == (1 << n) - 1
 
 
 def bridges(g: MultiGraph) -> frozenset[int]:
@@ -235,10 +259,8 @@ def diameter(g: MultiGraph) -> int:
     """Greatest distance between two vertices; raises on disconnected input."""
     if not is_connected(g):
         raise DisconnectedGraphError("diameter is undefined for disconnected graphs")
-    best = 0
-    for v in range(g.vertex_count):
-        best = max(best, max(d for d in bfs_distances(g, v)))
-    return int(best)
+    nbrs = _neighbor_lists(g)
+    return int(max(max(_bfs(nbrs, v)) for v in range(g.vertex_count)))
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +406,15 @@ def trivial_trail(v: int) -> Trail:
 def trail_from_order(g: MultiGraph, order: Sequence[int], closed: bool = False) -> Trail:
     """The trail along a vertex order, back to its start when ``closed``.
 
-    Consecutive vertices are joined by the smallest edge id between them.
+    Consecutive vertices are joined by the smallest edge id between them
+    that the trail has not used yet: on two vertices, a closed order goes
+    out by one edge of a parallel pair and back by the other.
     """
     verts = tuple(order) + (order[0],) if closed else tuple(order)
-    eids = tuple(
-        next(e for e in g.incidence[a] if g.other_end(e, a) == b)
-        for a, b in zip(verts, verts[1:])
-    )
-    return Trail(verts, eids, verts[0] == verts[-1])
+    eids: dict[int, None] = {}  # insertion-ordered, with set membership
+    for a, b in zip(verts, verts[1:]):
+        eids[next(e for e in g.incidence[a] if g.other_end(e, a) == b and e not in eids)] = None
+    return Trail(verts, tuple(eids), verts[0] == verts[-1])
 
 
 def validate_trail(g: MultiGraph, t: Trail) -> None:
@@ -525,19 +548,22 @@ def parse_graph6(text: str) -> MultiGraph:
     return MultiGraph(n, tuple(edges))
 
 
+def _graph6_header(n: int) -> list[int]:
+    if n > 258047:
+        raise InputError("graph too large for this graph6 encoder")
+    if n <= 62:
+        return [n + 63]
+    return [126] + [((n >> shift) & 63) + 63 for shift in (12, 6, 0)]
+
+
 def to_graph6(g: MultiGraph) -> str:
     """Encode a simple graph as graph6; parallel edges are rejected."""
     pairs = [tuple(sorted(e)) for e in g.edges]
     if len(set(pairs)) != len(pairs):
         raise InputError("graph6 encodes simple graphs only; parallel edges present")
     n = g.vertex_count
-    if n > 258047:
-        raise InputError("graph too large for this graph6 encoder")
+    head = _graph6_header(n)
     adj = set(pairs)
-    if n <= 62:
-        head = [n + 63]
-    else:
-        head = [126] + [((n >> shift) & 63) + 63 for shift in (12, 6, 0)]
     bits = []
     for j in range(1, n):
         for i in range(j):
@@ -551,3 +577,19 @@ def to_graph6(g: MultiGraph) -> str:
             val = (val << 1) | b
         body.append(val + 63)
     return bytes(head + body).decode("ascii")
+
+
+#: _REVERSED_6[x] is the 6-bit value x with its bits in reverse order.
+_REVERSED_6 = [int(f"{x:06b}"[::-1], 2) for x in range(64)]
+
+
+def graph6_from_mask(n: int, mask: int) -> str:
+    """graph6 of the simple graph on ``n`` vertices whose pair (i, j), i < j,
+    is an edge iff bit j(j-1)/2 + i of ``mask`` is set.
+
+    That bit order is graph6's own, so the body is the mask cut into 6-bit
+    groups from bit 0 up, each written most significant pair first.
+    """
+    nbits = n * (n - 1) // 2
+    body = [_REVERSED_6[mask >> k & 63] + 63 for k in range(0, nbits, 6)]
+    return bytes(_graph6_header(n) + body).decode("ascii")

@@ -25,6 +25,7 @@ from .graphcore import (
     MultiGraph,
     Trail,
     is_connected,
+    mask_members,
     trail_from_order,
     validate_trail,
 )
@@ -43,8 +44,8 @@ def is_hamiltonian_path(g: MultiGraph, order: tuple[int, ...]) -> bool:
     """Independent verifier: does ``order`` list every vertex once along edges?"""
     if len(order) != g.vertex_count or set(order) != set(range(g.vertex_count)):
         return False
-    nbrs = g.neighbor_sets
-    return all(order[i + 1] in nbrs[order[i]] for i in range(len(order) - 1))
+    adj = g.neighbor_masks
+    return all(adj[order[i]] >> order[i + 1] & 1 for i in range(len(order) - 1))
 
 
 def is_hamiltonian_cycle(g: MultiGraph, order: tuple[int, ...]) -> bool:
@@ -61,8 +62,8 @@ def is_hamiltonian_cycle(g: MultiGraph, order: tuple[int, ...]) -> bool:
     if n == 2:
         u, v = order
         return sum(1 for e in g.edges if set(e) == {u, v}) >= 2
-    nbrs = g.neighbor_sets
-    return all(order[(i + 1) % n] in nbrs[order[i]] for i in range(n))
+    adj = g.neighbor_masks
+    return all(adj[order[i]] >> order[(i + 1) % n] & 1 for i in range(n))
 
 
 def _search(g: MultiGraph, cycle: bool, budget: Budget) -> tuple[int, ...] | None:
@@ -72,14 +73,9 @@ def _search(g: MultiGraph, cycle: bool, budget: Budget) -> tuple[int, ...] | Non
     none and a graph with a leaf is searched from its smallest leaf only; a
     cycle is anchored at a vertex of least degree.
     """
-    n = g.vertex_count
-    nbrs = [sorted(s) for s in g.neighbor_sets]
-    adj = [0] * n
-    for v, ws in enumerate(nbrs):
-        for w in ws:
-            adj[v] |= 1 << w
-    by_degree = sorted(range(n), key=lambda v: (len(nbrs[v]), v))
-    leaves = [v for v in by_degree if len(nbrs[v]) <= 1]
+    adj = g.neighbor_masks
+    by_degree = sorted(range(g.vertex_count), key=lambda v: (adj[v].bit_count(), v))
+    leaves = [v for v in by_degree if adj[v].bit_count() <= 1]
     if cycle:
         if leaves:
             return None
@@ -88,6 +84,7 @@ def _search(g: MultiGraph, cycle: bool, budget: Budget) -> tuple[int, ...] | Non
         return None
     else:
         starts = leaves[:1] or by_degree
+    nbrs = [mask_members(m) for m in adj]
     for start in starts:
         order = _search_from(start, nbrs, adj, cycle, budget)
         if order is not None:
@@ -96,7 +93,7 @@ def _search(g: MultiGraph, cycle: bool, budget: Budget) -> tuple[int, ...] | Non
 
 
 def _search_from(
-    start: int, nbrs: list[list[int]], adj: list[int], cycle: bool, budget: Budget
+    start: int, nbrs: list[list[int]], adj: tuple[int, ...], cycle: bool, budget: Budget
 ) -> tuple[int, ...] | None:
     """Depth-first extension of a path from ``start`` on an explicit stack.
 

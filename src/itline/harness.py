@@ -31,7 +31,7 @@ from .graphcore import (
     InputError,
     MultiGraph,
     bfs_distances,
-    to_graph6,
+    graph6_from_mask,
 )
 from .hamilton import has_hamiltonian_cycle, has_hamiltonian_path
 from .indices import (
@@ -148,7 +148,8 @@ def graph_id(g: MultiGraph) -> str:
     simple, a digest of the canonical edge code for a multigraph."""
     pairs = [tuple(sorted(e)) for e in g.edges]
     if len(set(pairs)) == len(pairs):
-        return to_graph6(graph_from_key(canonical_key(g)))
+        # The simple code is the canonical adjacency bitmask, in graph6's bit order.
+        return graph6_from_mask(g.vertex_count, _canonical_code(g.vertex_count, pairs, 2))
     base = 1 + max(Counter(pairs).values())
     code = _canonical_code(g.vertex_count, pairs, base)
     import hashlib  # on first use: it maps OpenSSL, ~4 MB of resident memory

@@ -84,7 +84,10 @@ def _index(
     if isinstance(answer, Unknown):
         return Unknown(name, answer.budget_spent, answer.detail)
     if answer.value:
-        return IndexResult(0, "direct-oracle", kind, trail_from_order(g, answer.order))
+        # A cycle's witness closes up through its start.
+        return IndexResult(
+            0, "direct-oracle", kind, trail_from_order(g, answer.order, closed=closed)
+        )
     if g.edge_count < 3:
         # Connected graphs with fewer than three edges are all traceable,
         # and hamiltonian unless they are paths.
@@ -179,18 +182,16 @@ def bound_cor2(g: MultiGraph) -> int:
 
 def delta_prime(g: MultiGraph) -> int:
     """Largest distinct-neighbor count over the vertices."""
-    return max((len(g.distinct_neighbors(v)) for v in range(g.vertex_count)), default=0)
+    return max((m.bit_count() for m in g.neighbor_masks), default=0)
 
 
 def d3_doublestar(g: MultiGraph) -> int:
     """Most degree->=3 vertices outside N(v), over vertices v with |N(v)| maximal."""
     dp = delta_prime(g)
-    v3 = frozenset(v for v in range(g.vertex_count) if g.degree(v) >= 3)
-    best = 0
-    for v in range(g.vertex_count):
-        if len(g.distinct_neighbors(v)) == dp:
-            best = max(best, len(v3 - g.distinct_neighbors(v)))
-    return best
+    v3 = sum(1 << v for v, ids in enumerate(g.incidence) if len(ids) >= 3)
+    return max(
+        ((v3 & ~m).bit_count() for m in g.neighbor_masks if m.bit_count() == dp), default=0
+    )
 
 
 def bound_thm_b2(g: MultiGraph) -> int:

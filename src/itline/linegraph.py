@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphcore import GraphError, InputError, MultiGraph
+from .graphcore import GraphError, InputError, MultiGraph, mask_members
 
 
 class EdgelessGraphError(GraphError):
@@ -79,16 +79,13 @@ def iterated_line_graph(g: MultiGraph, n: int, cap: int = 5000) -> MultiGraph:
 
 def is_claw_free(g: MultiGraph) -> bool:
     """True iff no induced K_{1,3}: no vertex has three pairwise non-adjacent neighbors."""
-    nbrs = g.neighbor_sets
-    for v in range(g.vertex_count):
-        around = sorted(nbrs[v])
-        for i, a in enumerate(around):
-            for j in range(i + 1, len(around)):
-                b = around[j]
-                if b in nbrs[a]:
-                    continue
-                for k in range(j + 1, len(around)):
-                    c = around[k]
-                    if c not in nbrs[a] and c not in nbrs[b]:
-                        return False
+    nbr = g.neighbor_masks
+    for around in nbr:
+        for a in mask_members(around):
+            # rest: the neighbours after a that miss a; a claw is a b in rest
+            # with a later c in rest that misses b.
+            rest = around & ~nbr[a] & -(2 << a)
+            for b in mask_members(rest):
+                if rest & ~nbr[b] & -(2 << b):
+                    return False
     return True

@@ -401,10 +401,7 @@ def find_dominating_trail(
         if len(inc[v]) == m:
             return trivial_trail(v)
 
-    nbr_mask = [0] * n
-    for u, w in g.edges:
-        nbr_mask[u] |= 1 << w
-        nbr_mask[w] |= 1 << u
+    nbr_mask = g.neighbor_masks
     everyone = (1 << n) - 1
 
     def visit(v: int, used: int, vmask: int, path_v: list[int], path_e: list[int]) -> int:

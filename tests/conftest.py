@@ -43,6 +43,16 @@ def multigraphs(draw, max_vertices: int = 6, max_edges: int = 10):
 
 
 @st.composite
+def doubled_multigraphs(draw, max_vertices: int = 6, max_edges: int = 10):
+    """``multigraphs`` (connected or not) with up to three edges doubled into parallel pairs."""
+    g = draw(multigraphs(max_vertices, max_edges))
+    doubled = draw(st.lists(st.integers(min_value=0), max_size=3))
+    if not g.edge_count:
+        return g
+    return MultiGraph(g.vertex_count, g.edges + tuple(g.edges[i % g.edge_count] for i in doubled))
+
+
+@st.composite
 def simple_graphs(draw, max_vertices: int = 6):
     n = draw(st.integers(min_value=1, max_value=max_vertices))
     if n == 1:

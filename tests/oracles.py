@@ -1,10 +1,11 @@
 """Independent brute-force oracles and fixture graphs for the test suite.
 
-Everything here deliberately avoids the package's own algorithms: distances
-via Floyd-Warshall, traceability via permutations or a Held-Karp subset
-dynamic program, branches via filtered path enumeration, pendent cycles and
-witness nonemptiness via raw subset enumeration.  These are the second route
-for every dual-checked result.
+Everything here deliberately avoids the package's own algorithms: adjacency
+straight from the edge list, distances via Floyd-Warshall, proximity from an
+all-pairs distance table, traceability via permutations or a Held-Karp
+subset dynamic program, branches via filtered path enumeration, pendent
+cycles and witness nonemptiness via raw subset enumeration.  These are the
+second route for every dual-checked result.
 """
 
 from __future__ import annotations
@@ -14,6 +15,15 @@ from itertools import combinations, permutations
 
 from itline.eup import canonical_candidate, check_conditions
 from itline.graphcore import MultiGraph
+
+
+def neighbor_sets(g: MultiGraph) -> list[set[int]]:
+    """Distinct neighbours of each vertex, read off the edge list."""
+    nbrs: list[set[int]] = [set() for _ in range(g.vertex_count)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return nbrs
 
 
 def floyd_warshall(g: MultiGraph) -> list[list[float]]:
@@ -37,12 +47,45 @@ def brute_subgraph_distance(g: MultiGraph, a, b) -> float:
     return min(dist[u][v] for u in a for v in b)
 
 
+def proximity_by_distances(
+    comps: tuple[frozenset[int], ...], dist: list[list[float]], k: int
+) -> tuple[bool, str]:
+    """The proximity verdict and detail of ``check_conditions`` from a
+    distance table: components i and j link when some cross pair is within
+    k-1, and all must lie in the linked class of the first."""
+    p = len(comps)
+    if p <= 1:
+        return True, ""
+    comp_lists = [sorted(c) for c in comps]
+    threshold = k - 1
+    linked = [[False] * p for _ in range(p)]
+    for i in range(p):
+        for j in range(i + 1, p):
+            ok = any(
+                dist[u][v] <= threshold for u in comp_lists[i] for v in comp_lists[j]
+            )
+            linked[i][j] = linked[j][i] = ok
+    seen = [False] * p
+    stack = [0]
+    seen[0] = True
+    while stack:
+        i = stack.pop()
+        for j in range(p):
+            if linked[i][j] and not seen[j]:
+                seen[j] = True
+                stack.append(j)
+    if all(seen):
+        return True, ""
+    far = sorted(v for j in range(p) if not seen[j] for v in comp_lists[j])
+    return False, f"components on vertices {far} are farther than {threshold} from the rest"
+
+
 def brute_is_traceable(g: MultiGraph) -> bool:
     """Permutation check; only sensible for <= 8 vertices."""
     n = g.vertex_count
     if n == 1:
         return True
-    nbrs = g.neighbor_sets
+    nbrs = neighbor_sets(g)
     return any(
         all(order[i + 1] in nbrs[order[i]] for i in range(n - 1))
         for order in permutations(range(n))
@@ -55,7 +98,7 @@ def brute_is_hamiltonian(g: MultiGraph) -> bool:
         return True
     if n == 2:
         return sum(1 for e in g.edges if set(e) == {0, 1}) >= 2
-    nbrs = g.neighbor_sets
+    nbrs = neighbor_sets(g)
     for order in permutations(range(1, n)):
         cyc = (0,) + order
         if all(cyc[(i + 1) % n] in nbrs[cyc[i]] for i in range(n)):
@@ -64,7 +107,7 @@ def brute_is_hamiltonian(g: MultiGraph) -> bool:
 
 
 def _adjacency_masks(g: MultiGraph) -> list[int]:
-    return [sum(1 << w for w in g.neighbor_sets[v]) for v in range(g.vertex_count)]
+    return [sum(1 << w for w in ws) for ws in neighbor_sets(g)]
 
 
 def held_karp_is_traceable(g: MultiGraph) -> bool:
@@ -218,7 +261,7 @@ def brute_has_dominating_trail(g: MultiGraph, closed: bool) -> bool:
 def brute_simple_paths(g: MultiGraph, min_vertices: int = 3):
     """All simple paths with at least ``min_vertices`` vertices, one orientation each."""
     n = g.vertex_count
-    nbrs = g.neighbor_sets
+    nbrs = neighbor_sets(g)
     out = []
 
     def extend(path: list[int]) -> None:

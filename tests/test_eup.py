@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from itline.eup import (
     VARIANT_EU,
     VARIANT_EUP,
     _ball_masks,
-    _proximity_components_ok,
     _reach,
     canonical_candidate,
     check_conditions,
@@ -24,14 +24,13 @@ from itline.graphcore import (
     DisconnectedGraphError,
     InputError,
     MultiGraph,
-    all_pairs_distances,
     subgraph,
     subgraph_components,
     subgraph_distance,
 )
 
-from .conftest import connected_multigraphs, long_branch_graphs
-from .oracles import brute_witness_exists
+from .conftest import connected_multigraphs, doubled_multigraphs, long_branch_graphs
+from .oracles import brute_witness_exists, floyd_warshall, proximity_by_distances
 
 
 def _hexagon(g):
@@ -197,7 +196,7 @@ def test_ball_mask_proximity_matches_distance_table(g, data):
     edges = [g.edges[e] for e in range(g.edge_count) if chosen >> e & 1]
     cand = canonical_candidate(g, [e for e in range(g.edge_count) if chosen >> e & 1])
     comps = subgraph_components(g, cand)
-    dist = all_pairs_distances(g)
+    dist = floyd_warshall(g)
     need = sum(1 << v for v in range(g.vertex_count) if g.degree(v) >= 3)
     for u, v in edges:
         need |= (1 << u) | (1 << v)
@@ -211,9 +210,34 @@ def test_ball_mask_proximity_matches_distance_table(g, data):
 
     for k in (1, 2, 3, 4):
         ball = _ball_masks(g, k - 1)
-        want, _ = _proximity_components_ok(comps, dist, k)
+        want, _ = proximity_by_distances(comps, dist, k)
         got = not need or _reach(need & -need, need, ball, None if k > 1 else hops) == need
         assert got == want
+
+
+@settings(deadline=None, max_examples=80)
+@given(doubled_multigraphs(max_vertices=8, max_edges=9), st.data())
+def test_proximity_matches_distance_table_route(g, data):
+    # Verdict and detail of the depth-cut BFS against the all-pairs reading,
+    # on multigraphs with parallel edges, connected or not.
+    chosen = data.draw(st.integers(0, (1 << g.edge_count) - 1))
+    h = canonical_candidate(g, [e for e in range(g.edge_count) if chosen >> e & 1])
+    comps = subgraph_components(g, h)
+    dist = floyd_warshall(g)
+    for k in (1, 2, 3, 4):
+        got = check_conditions(g, h, k, VARIANT_EUP).proximity
+        assert (got.ok, got.detail) == proximity_by_distances(comps, dist, k)
+
+
+def test_check_conditions_on_long_cycle_needs_no_distance_table():
+    # An all-pairs distance table of cycle(1500) alone takes ~0.9 s.
+    g = cycle(1500)
+    for edge_ids in (range(1500), range(0, 1500, 2)):
+        start = time.monotonic()
+        report = check_conditions(g, subgraph(g, edge_ids), 2, VARIANT_EUP)
+        assert time.monotonic() - start < 0.5
+        assert report.proximity.ok
+    assert report.overall is False and not report.parity.ok
 
 
 def test_witness_json_shape():
@@ -279,15 +303,12 @@ def test_proximity_equals_bipartition_reading():
     # cross pair" reading verbatim.
     from itertools import combinations
 
-    from itline.eup import _proximity_components_ok
-    from itline.graphcore import all_pairs_distances
-
     g = fig1()
     h = subgraph(g, (0, 1), {5, 8, 11})
     comps = subgraph_components(g, h)
-    dist = all_pairs_distances(g)
+    dist = floyd_warshall(g)
     for k in (1, 2, 3, 4):
-        ok, _ = _proximity_components_ok(comps, dist, k)
+        ok, _ = proximity_by_distances(comps, dist, k)
         p = len(comps)
         brute = True
         for r in range(1, p):

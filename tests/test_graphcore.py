@@ -1,10 +1,10 @@
 """Multigraph basics: degrees, distances, subgraph views, trails, text formats."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from itline.families import cycle, fig1, fig4b, path, star, two_cycle
 from itline.graphcore import (
@@ -13,10 +13,14 @@ from itline.graphcore import (
     MultiGraph,
     ParseError,
     Trail,
+    all_pairs_distances,
+    bfs_distances,
     bridges,
     connected_components,
     diameter,
+    graph6_from_mask,
     incident_edges,
+    is_connected,
     odd_vertices,
     parse_edgelist,
     parse_graph6,
@@ -29,8 +33,8 @@ from itline.graphcore import (
     validate_trail,
 )
 
-from .conftest import multigraphs, simple_graphs
-from .oracles import brute_subgraph_distance
+from .conftest import doubled_multigraphs, multigraphs, simple_graphs
+from .oracles import brute_subgraph_distance, floyd_warshall, neighbor_sets
 
 
 def test_loops_rejected():
@@ -138,18 +142,43 @@ def test_connected_components():
     assert connected_components(g) == (frozenset({0, 1, 2}), frozenset({3, 4}))
 
 
+def test_empty_graph_has_no_components():
+    assert connected_components(MultiGraph(0)) == ()
+    assert not is_connected(MultiGraph(0))
+
+
+@given(doubled_multigraphs(max_vertices=7, max_edges=9))
+def test_adjacency_routes_match_edge_list_and_floyd_warshall(g):
+    # Dual route for everything read off the neighbour masks or lists:
+    # neighbour sets straight from the edge list, distances by Floyd-Warshall,
+    # components as the classes of finite distance.
+    n = g.vertex_count
+    dist = floyd_warshall(g)
+    nbrs = neighbor_sets(g)
+    for v in range(n):
+        assert g.distinct_neighbors(v) == frozenset(nbrs[v])
+        assert bfs_distances(g, v) == dist[v]
+    assert all_pairs_distances(g) == dist
+    classes = {frozenset(w for w in range(n) if dist[v][w] < math.inf) for v in range(n)}
+    assert connected_components(g) == tuple(sorted(classes, key=min))
+    assert is_connected(g) == (len(classes) == 1)
+    if len(classes) == 1:
+        assert diameter(g) == max(map(max, dist))
+    else:
+        with pytest.raises(DisconnectedGraphError):
+            diameter(g)
+
+
 def test_bridges_of_named_graphs():
     assert bridges(MultiGraph(3, ((0, 1), (0, 1), (1, 2)))) == {2}
     assert bridges(path(1500)) == frozenset(range(1499))
     assert bridges(cycle(1500)) == frozenset()
 
 
-@given(multigraphs(max_vertices=6, max_edges=9), st.lists(st.integers(min_value=0), max_size=3))
-def test_bridges_match_edge_deletion(g, doubled):
+@given(doubled_multigraphs(max_vertices=6, max_edges=9))
+def test_bridges_match_edge_deletion(g):
     # Dual route: an edge is a bridge iff deleting it leaves more components.
     # Doubling some edges makes parallel pairs, which are never bridges.
-    if g.edge_count:
-        g = MultiGraph(g.vertex_count, g.edges + tuple(g.edges[i % g.edge_count] for i in doubled))
     count = len(connected_components(g))
     brute = {
         eid
@@ -263,6 +292,20 @@ def test_graph6_short_strings_round_trip():
 
 def test_graph6_header_accepted():
     assert parse_graph6(">>graph6<<D?{") == parse_graph6("D?{")
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 6, 7, 62, 63, 64, 100])
+def test_graph6_from_mask_matches_to_graph6(n):
+    # Bit j(j-1)/2 + i of the mask is the pair (i, j); from 63 vertices on,
+    # the header is four bytes.
+    rng = random.Random(n)
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    for _ in range(5):
+        mask = rng.getrandbits(len(pairs)) if pairs else 0
+        g = MultiGraph(n, tuple(p for b, p in enumerate(pairs) if mask >> b & 1))
+        encoded = graph6_from_mask(n, mask)
+        assert encoded == to_graph6(g)
+        assert encoded.startswith("~") == (n >= 63)
 
 
 def test_graph6_rejects_multigraph_on_encode():

@@ -1,13 +1,14 @@
 """Enumeration, canonical dedup, campaign records, and report plumbing."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from itline.eup import VARIANT_EUP, find_witness
 from itline.families import fig2, path, star
-from itline.graphcore import InputError, MultiGraph
+from itline.graphcore import InputError, MultiGraph, to_graph6
 from itline.harness import (
     CampaignReport,
     canonical_key,
@@ -120,6 +121,19 @@ def test_graph_id_formats():
     assert graph_id(path(3)) == graph_id(MultiGraph(3, ((2, 1), (1, 0))))
     multi = MultiGraph(2, ((0, 1), (0, 1)))
     assert graph_id(multi).startswith("multi-")
+
+
+def test_graph_id_is_graph6_of_the_canonical_form(corpus6):
+    # graph_id encodes the canonical bitmask directly; the long route builds
+    # the canonical graph and encodes its edge list.
+    rng = random.Random(6)
+    for g in corpus6:
+        want = to_graph6(graph_from_key(canonical_key(g)))
+        for _ in range(3):
+            perm = list(range(g.vertex_count))
+            rng.shuffle(perm)
+            relabeled = MultiGraph(g.vertex_count, tuple((perm[u], perm[v]) for u, v in g.edges))
+            assert graph_id(relabeled) == want
 
 
 def test_graph_id_is_isomorphism_invariant_for_multigraphs():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from itline.budget import Unknown
 from itline.eup import find_witness
 from itline.families import complete, cycle, fig1, fig2, fig3, fig4b, path, star, two_cycle
-from itline.graphcore import MultiGraph, SubgraphH, Trail
+from itline.graphcore import MultiGraph, SubgraphH, Trail, validate_trail
 from itline.indices import (
     IndexResult,
     PathHasNoIndexError,
@@ -28,7 +28,8 @@ from itline.indices import (
 )
 from itline.structure import MaxTrailResult, find_dominating_trail, max_trail
 
-from .conftest import connected_multigraphs, simple_graphs
+from .conftest import connected_multigraphs, multigraphs, simple_graphs
+from .oracles import neighbor_sets
 
 
 def test_path_index_of_paths_is_zero():
@@ -121,6 +122,19 @@ def test_cycle_index_basics():
     assert hamiltonian_index(fig2(2)).value == 2
 
 
+def test_level0_witnesses_are_a_closed_cycle_and_an_open_path():
+    for g in (cycle(5), complete(4), two_cycle()):
+        t = hamiltonian_index(g).witness
+        validate_trail(g, t)
+        assert t.closed and t.length == g.vertex_count
+        assert sorted(t.vertices[1:]) == list(range(g.vertex_count))
+    assert hamiltonian_index(cycle(5)).witness == Trail((0, 1, 2, 3, 4, 0), (0, 1, 2, 3, 4), True)
+    assert hamiltonian_index(two_cycle()).witness == Trail((0, 1, 0), (0, 1), True)
+    # The path index keeps its open witness.
+    assert hamiltonian_path_index(cycle(5)).witness == Trail((0, 1, 2, 3, 4), (0, 1, 2, 3), False)
+    assert hamiltonian_path_index(two_cycle()).witness == Trail((0, 1), (0,), False)
+
+
 def test_cycle_index_rejects_paths():
     for g in (path(1), path(2), path(5)):
         assert is_path_graph(g)
@@ -180,6 +194,16 @@ def test_delta_prime_equals_max_degree_on_simple_graphs(g):
     assert delta_prime(g) == max(
         (g.degree(v) for v in range(g.vertex_count)), default=0
     )
+
+
+@given(multigraphs(max_vertices=7, max_edges=12))
+def test_neighbor_statistics_match_edge_list(g):
+    # d3** looks only at the vertices with delta' distinct neighbours.
+    nbrs = neighbor_sets(g)
+    dp = max(map(len, nbrs), default=0)
+    v3 = {v for v in range(g.vertex_count) if g.degree(v) >= 3}
+    assert delta_prime(g) == dp
+    assert d3_doublestar(g) == max(len(v3 - ws) for ws in nbrs if len(ws) == dp)
 
 
 def test_compute_bounds_report_shape():

@@ -1,5 +1,6 @@
 """Line-graph operator, iteration, and claw-freeness."""
 
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -16,7 +17,7 @@ from itline.linegraph import (
 )
 
 from .conftest import multigraphs
-from .oracles import is_isomorphic
+from .oracles import is_isomorphic, neighbor_sets
 
 
 def test_line_graph_of_path():
@@ -88,6 +89,17 @@ def test_iterated_line_graph_path_collapse_reports_level():
 def test_claw_free_examples():
     assert not is_claw_free(star(3))
     assert is_claw_free(cycle(5))
+
+
+@given(multigraphs(max_vertices=7, max_edges=14))
+def test_claw_free_matches_triple_enumeration(g):
+    nbrs = neighbor_sets(g)
+    claw = any(
+        b not in nbrs[a] and c not in nbrs[a] and c not in nbrs[b]
+        for v in range(g.vertex_count)
+        for a, b, c in combinations(sorted(nbrs[v]), 3)
+    )
+    assert is_claw_free(g) == (not claw)
 
 
 @given(multigraphs(max_vertices=5, max_edges=8))
