@@ -8,7 +8,7 @@ import json
 import sys
 from pathlib import Path
 
-from .budget import Unknown
+from .budget import Budget, Unknown
 from .eup import check_conditions, find_witness, witness_to_json
 from .graphcore import (
     GraphError,
@@ -41,9 +41,16 @@ from .linegraph import iterated_line_graph, line_graph
 from . import families
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 def _read_graph(args) -> MultiGraph:
     if args.in_path:
-        text = Path(args.in_path).read_text()
+        text = _read_text(args.in_path)
         fmt = args.in_format or ("g6" if args.in_path.endswith((".g6", ".graph6")) else None)
     else:
         text = sys.stdin.read()
@@ -52,7 +59,7 @@ def _read_graph(args) -> MultiGraph:
         head = text.lstrip()[:1]
         fmt = "edgelist" if head.isdigit() else "g6"
     if fmt in ("g6", "graph6"):
-        return parse_graph6(text.strip().splitlines()[0])
+        return parse_graph6((text.strip().splitlines() or [""])[0])
     return parse_edgelist(text)
 
 
@@ -184,7 +191,7 @@ def _cmd_bounds(args) -> int:
 def _load_corpus(args) -> list[MultiGraph]:
     if args.in_path:
         graphs = []
-        for line in Path(args.in_path).read_text().splitlines():
+        for line in _read_text(args.in_path).splitlines():
             line = line.strip()
             if line:
                 graphs.append(parse_graph6(line))
@@ -257,6 +264,14 @@ def _add_budget(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timeout", type=float, default=None, help="wall-clock limit in seconds")
 
 
+def _check_budget(node_budget: int | None) -> None:
+    """Reject a bad ``--budget`` or ``ITLINE_BUDGET`` before any work starts."""
+    try:
+        Budget(node_budget)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="itline",
@@ -326,6 +341,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "budget" in vars(args):
+            _check_budget(args.budget)
         return args.fn(args)
     except GraphError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -30,6 +30,7 @@ from .graphcore import (
     InputError,
     MultiGraph,
     SubgraphH,
+    _flood,
     is_connected,
     mask_members,
     odd_vertices,
@@ -97,26 +98,10 @@ class ConditionReport:
         }
 
 
-def _ball(nbr: tuple[int, ...], seed: int, radius: int) -> int:
-    """The vertices within ``radius`` of the vertex set ``seed``, as a bitmask."""
-    ball = frontier = seed
-    for _ in range(radius):
-        grow = 0
-        while frontier:
-            x = frontier.bit_length() - 1
-            frontier ^= 1 << x
-            grow |= nbr[x]
-        frontier = grow & ~ball
-        if not frontier:
-            break
-        ball |= frontier
-    return ball
-
-
 def _ball_masks(g: MultiGraph, radius: int) -> list[int]:
     """Bitmask of the vertices within ``radius`` of each vertex."""
     nbr = g.neighbor_masks
-    return [_ball(nbr, 1 << v, radius) for v in range(g.vertex_count)]
+    return [_flood(nbr, 1 << v, radius=radius) for v in range(g.vertex_count)]
 
 
 def _proximity_ok(
@@ -128,7 +113,7 @@ def _proximity_ok(
     is within distance k-1; checked as connectivity of the threshold graph.
     The class of the first component grows by every component that meets
     the radius-(k-1) ball of a component already in it, so each component's
-    ball is grown once, by a BFS cut at depth k-1.
+    ball is grown once, by a flood cut at radius k-1.
     """
     if len(comps) <= 1:
         return True, ""
@@ -143,7 +128,7 @@ def _proximity_ok(
     rest = sum(masks[1:])
     todo = [masks[0]]
     while todo and rest:
-        hit = _ball(nbr, todo.pop(), threshold) & rest
+        hit = _flood(nbr, todo.pop(), radius=threshold) & rest
         while hit:
             comp = masks[owner[hit.bit_length() - 1]]
             hit &= ~comp
@@ -155,32 +140,24 @@ def _proximity_ok(
     return False, f"components on vertices {far} are farther than {threshold} from the rest"
 
 
-def _reach(seed: int, alive: int, ball: list[int], hops=None) -> int:
-    """The vertices of ``alive`` linked to ``seed``, as a bitmask.
+class _LiveLinks:
+    """At radius 0, ``links[x]`` is the far ends of the edges at ``x`` that
+    are not excluded (``out[eid]`` unset), as a bitmask."""
 
-    The items of a subgraph are its edges and its degree->=3 vertices; two
-    items link when a vertex of one lies in the radius-(k-1) ball of a
-    vertex of the other.  On vertices this reads: ``alive`` holds every
-    vertex of an item, and two alive vertices link when either lies in the
-    other's ball (an edge's ends are one apart, so they link at any radius
-    >= 1).  At radius 0 an alive vertex links only along item edges, and
-    ``hops(x)`` gives their far ends at ``x``.  The class grows from
-    ``seed`` over a vertex frontier, each vertex taken once.  Items are
-    mutually linkable, the proximity condition of
-    :func:`_proximity_ok`, exactly when one reach holds all their
-    vertices.
-    """
-    reach = frontier = seed
-    while frontier:
-        x = frontier.bit_length() - 1
-        frontier ^= 1 << x
-        new = (ball[x] & alive if hops is None else hops(x)) & ~reach
-        if new:
-            reach |= new
-            if reach == alive:
-                break
-            frontier |= new
-    return reach
+    __slots__ = ("inc", "ends", "out")
+
+    def __init__(self, g: MultiGraph, out: bytearray):
+        self.inc = g.incidence
+        self.ends = [a ^ b for a, b in g.edges]  # the far end of eid from x is ends[eid] ^ x
+        self.out = out
+
+    def __getitem__(self, x: int) -> int:
+        ends, out = self.ends, self.out
+        mask = 0
+        for eid in self.inc[x]:
+            if not out[eid]:
+                mask |= 1 << (ends[eid] ^ x)
+        return mask
 
 
 def check_conditions(g: MultiGraph, h: SubgraphH, k: int, variant: str) -> ConditionReport:
@@ -288,7 +265,7 @@ def find_witness(
     decision, the required items (the chosen edges and every degree->=3
     vertex) must lie in one class of the items still available (chosen and
     undecided edges, degree->=3 vertices), linked through each vertex's
-    radius-(k-1) ball (:func:`_reach`).  The class is kept per depth and
+    radius-(k-1) ball (one :func:`_flood`).  The class is kept per depth and
     updated incrementally: an include only tests that its edge meets the
     class, and an exclude regrows the class only when it takes a vertex out
     of the items and the class may split.  At the last depth the available
@@ -331,8 +308,9 @@ def find_witness(
         for eid in b.edge_ids:
             ebranch[eid] = bi
             order.append(eid)
-    for cyc in cycle_component_edges(g):
-        order.extend(cyc)
+    if not blist:
+        # Only a bare cycle has edges on no branch (G is connected).
+        order.extend(e for cyc in cycle_component_edges(g) for e in cyc)
     if len(order) != m:
         raise GraphError("internal: branch partition missed edges")
 
@@ -350,18 +328,16 @@ def find_witness(
     odd_total = 0
     budget = Budget(node_budget, time_limit)
 
-    # At radius 0, items link only along the edges not excluded (out[eid]).
-    hops = None
-    if not radius:
-        inc = g.incidence
-        ends = [a ^ b for a, b in edges]  # the far end of eid from x is ends[eid] ^ x
-
-        def hops(x: int) -> int:
-            mask = 0
-            for eid in inc[x]:
-                if not out[eid]:
-                    mask |= 1 << (ends[eid] ^ x)
-            return mask
+    # The items of a subgraph are its edges and its degree->=3 vertices; two
+    # items link when a vertex of one lies in the radius-(k-1) ball of a
+    # vertex of the other.  On vertices this reads: alive holds every vertex
+    # of an item, and two alive vertices link when either lies in the
+    # other's ball (an edge's ends are one apart, so they link at any radius
+    # >= 1).  At radius 0 an alive vertex links only along the edges not
+    # excluded.  The class of a seed is then _flood(links, seed, alive), and
+    # the items are mutually linkable, the proximity condition of
+    # _proximity_ok, exactly when one class holds all their vertices.
+    links = ball if radius else _LiveLinks(g, out)
 
     # Depth i decides edge order[i]: take[i] is the decision tried last
     # (-1 none yet, 0 exclude, 1 include) and added[i] the odd vertices it
@@ -439,7 +415,7 @@ def find_witness(
             if t:
                 need |= em
                 if not reach:
-                    reach = _reach(em, alive, ball, hops)
+                    reach = _flood(links, em, alive)
                 elif not em & reach:
                     continue
             else:
@@ -455,7 +431,7 @@ def find_witness(
                 if em & reach:
                     # The class loses the vertices that left.  At radius
                     # >= 1 only that can split it, and it stays whole when
-                    # the class vertices within the radius of them (links)
+                    # the class vertices within the radius of them (touch)
                     # still link among themselves; one ball holding them
                     # all settles that without a growth.  At radius 0 a
                     # vertex that left was the end of its last edge, but
@@ -463,17 +439,17 @@ def find_witness(
                     # split the class.  A class that may have split is
                     # regrown from a required vertex.
                     reach ^= lost
-                    if hops:
+                    if not radius:
                         if not lost:
                             reach = 0
                     elif lost:
-                        links = near & reach
-                        if links & ~ball[links.bit_length() - 1] and (
-                            _reach(links & -links, links, ball) != links
+                        touch = near & reach
+                        if touch & ~ball[touch.bit_length() - 1] and (
+                            _flood(ball, touch & -touch, touch) != touch
                         ):
                             reach = 0
                     if not reach:
-                        reach = _reach(need & -need, alive, ball, hops)
+                        reach = _flood(links, need & -need, alive)
                         if need & ~reach:
                             continue
             budget.tick()

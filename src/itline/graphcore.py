@@ -131,10 +131,16 @@ def _neighbor_lists(g: MultiGraph) -> list[list[int]]:
     return nbrs
 
 
-def _bfs(nbrs: list[list[int]], source: int) -> list[float]:
+def _bfs(nbrs: list[list[int]], sources: Iterable[int]) -> list[float]:
+    """Distance from the nearest source to every vertex (inf if unreachable).
+
+    Neighbour lists, not the masks that :func:`_flood` grows: a BFS over
+    masks measured 2-3.5x slower for distances.
+    """
     dist: list[float] = [math.inf] * len(nbrs)
-    dist[source] = 0
-    queue = [source]
+    queue = list(sources)
+    for s in queue:
+        dist[s] = 0
     for u in queue:
         du = dist[u] + 1
         for w in nbrs[u]:
@@ -147,12 +153,12 @@ def _bfs(nbrs: list[list[int]], source: int) -> list[float]:
 def bfs_distances(g: MultiGraph, source: int) -> list[float]:
     """Shortest-path distance from ``source`` to every vertex (inf if unreachable)."""
     g.check_vertex(source)
-    return _bfs(_neighbor_lists(g), source)
+    return _bfs(_neighbor_lists(g), (source,))
 
 
 def all_pairs_distances(g: MultiGraph) -> list[list[float]]:
     nbrs = _neighbor_lists(g)
-    return [_bfs(nbrs, v) for v in range(g.vertex_count)]
+    return [_bfs(nbrs, (v,)) for v in range(g.vertex_count)]
 
 
 def subgraph_distance(g: MultiGraph, a: Iterable[int], b: Iterable[int]) -> float:
@@ -166,51 +172,56 @@ def subgraph_distance(g: MultiGraph, a: Iterable[int], b: Iterable[int]) -> floa
         raise InputError("subgraph_distance requires nonempty vertex sets")
     for v in aset | bset:
         g.check_vertex(v)
-    if aset & bset:
-        return 0
-    nbrs = _neighbor_lists(g)
-    dist: list[float] = [math.inf] * g.vertex_count
-    queue = list(aset)
-    for v in queue:
-        dist[v] = 0
-    for u in queue:
-        for w in nbrs[u]:
-            if dist[w] is math.inf:
-                dist[w] = dist[u] + 1
-                if w in bset:
-                    return dist[w]
-                queue.append(w)
-    return math.inf
+    dist = _bfs(_neighbor_lists(g), aset)
+    return min(dist[v] for v in bset)
 
 
-def _flood(nbr: Sequence[int], seed: int) -> int:
-    """The vertices connected to the vertex set ``seed``, as a bitmask."""
-    reach = todo = seed
-    while todo:
-        x = todo.bit_length() - 1
-        todo ^= 1 << x
-        new = nbr[x] & ~reach
-        if new:
-            reach |= new
-            todo |= new
+def _flood(nbr: Sequence[int], seed: int, within: int = -1, radius: int | None = None) -> int:
+    """The vertices reached from the vertex set ``seed``, as a bitmask.
+
+    A step goes from a reached vertex ``x`` to the vertices of ``nbr[x]``
+    that lie in ``within`` (every vertex by default), at most ``radius``
+    steps from the seed when a radius is given.  The seed is always
+    reached.  Rings are grown one vertex at a time, and the flood stops as
+    soon as it holds all of ``within``.  This is the package's one closure
+    loop over vertex masks; ``nbr`` may be any per-vertex mask lookup.
+    """
+    reach = ring = seed
+    rings = -1 if radius is None else radius
+    while ring and rings and reach != within:
+        rings -= 1
+        grown = 0
+        while ring:
+            x = ring.bit_length() - 1
+            ring ^= 1 << x
+            new = nbr[x] & within & ~reach
+            if new:
+                reach |= new
+                if reach == within:
+                    return reach
+                grown |= new
+        ring = grown
     return reach
 
 
-def connected_components(g: MultiGraph) -> tuple[frozenset[int], ...]:
-    """Vertex sets of the connected components, ordered by smallest member."""
-    nbr = g.neighbor_masks
-    rest = (1 << g.vertex_count) - 1
+def _split(nbr: Sequence[int], rest: int) -> tuple[frozenset[int], ...]:
+    """The classes of the vertex set ``rest`` under ``nbr``, by smallest member."""
     comps = []
     while rest:
-        comp = _flood(nbr, rest & -rest)
+        comp = _flood(nbr, rest & -rest, rest)
         rest ^= comp
         comps.append(frozenset(mask_members(comp)))
     return tuple(comps)
 
 
+def connected_components(g: MultiGraph) -> tuple[frozenset[int], ...]:
+    """Vertex sets of the connected components, ordered by smallest member."""
+    return _split(g.neighbor_masks, (1 << g.vertex_count) - 1)
+
+
 def is_connected(g: MultiGraph) -> bool:
-    n = g.vertex_count
-    return n > 0 and _flood(g.neighbor_masks, 1) == (1 << n) - 1
+    everyone = (1 << g.vertex_count) - 1
+    return everyone > 0 and _flood(g.neighbor_masks, 1, everyone) == everyone
 
 
 def bridges(g: MultiGraph) -> frozenset[int]:
@@ -220,6 +231,8 @@ def bridges(g: MultiGraph) -> frozenset[int]:
     edge leads from ``w``'s subtree to a vertex discovered before ``w``.  The
     edge the walk came in by is the only one skipped, by id, so each edge of
     a parallel pair is a back edge for the other and neither is a bridge.
+    It walks edge ids, which the vertex masks of :func:`_flood` cannot tell
+    apart.
     """
     n, inc, edges = g.vertex_count, g.incidence, g.edges
     disc = [-1] * n
@@ -260,7 +273,7 @@ def diameter(g: MultiGraph) -> int:
     if not is_connected(g):
         raise DisconnectedGraphError("diameter is undefined for disconnected graphs")
     nbrs = _neighbor_lists(g)
-    return int(max(max(_bfs(nbrs, v)) for v in range(g.vertex_count)))
+    return int(max(max(_bfs(nbrs, (v,))) for v in range(g.vertex_count)))
 
 
 # ---------------------------------------------------------------------------
@@ -337,27 +350,17 @@ def incident_edges(g: MultiGraph, h: SubgraphH) -> frozenset[int]:
 
 def subgraph_components(g: MultiGraph, h: SubgraphH) -> tuple[frozenset[int], ...]:
     """Connected components of the subgraph; each extra vertex is its own component."""
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for v in subgraph_vertices(g, h):
-        parent[v] = v
+    nbr = [0] * g.vertex_count
+    verts = 0
+    for v in h.extra_vertices:
+        g.check_vertex(v)
+        verts |= 1 << v
     for eid in h.edge_ids:
         u, v = g.endpoints(eid)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    groups: dict[int, set[int]] = {}
-    for v in parent:
-        groups.setdefault(find(v), set()).add(v)
-    return tuple(frozenset(groups[r]) for r in sorted(groups))
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+        verts |= (1 << u) | (1 << v)
+    return _split(nbr, verts)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .graphcore import (
     InputError,
     MultiGraph,
     Trail,
+    _flood,
     is_connected,
     mask_members,
     trail_from_order,
@@ -101,9 +102,11 @@ def _search_from(
     the current end, or (for a cycle) the start: in a finished cycle every
     unvisited vertex uses two of them, in a finished path all but the far
     end do.  Exit counts change only around the vertex a step leaves
-    behind, so a step costs work in proportion to its degree; the
-    must-stay-connected check runs only when the step had a choice, since
-    leaving a vertex with one unvisited neighbour cannot disconnect the rest.
+    behind, so a step costs work in proportion to its degree.  The
+    must-stay-connected check floods the unvisited vertices from the new
+    end's unvisited neighbours; it runs only when the step had a choice,
+    since leaving a vertex with one unvisited neighbour cannot disconnect
+    the rest.
     Children are tried fewest unvisited neighbours first, ties by vertex id.
     """
     free = ((1 << len(adj)) - 1) ^ (1 << start)
@@ -140,16 +143,6 @@ def _search_from(
         free |= 1 << w
         low += exits[w] < 2
 
-    def connected(w: int) -> bool:
-        reach = todo = adj[w] & free
-        while todo and reach != free:
-            bit = todo & -todo
-            todo ^= bit
-            new = adj[bit.bit_length() - 1] & free & ~reach
-            reach |= new
-            todo |= new
-        return reach == free
-
     frames = [children(start)]
     while frames:
         if not frames[-1]:
@@ -170,7 +163,7 @@ def _search_from(
         elif (
             low <= low_cap
             and (not cycle or adj[start] & free)
-            and (not branching or connected(w))
+            and (not branching or _flood(adj, adj[w] & free, free) == free)
         ):
             frames.append(children(w))
             continue

@@ -316,7 +316,8 @@ def max_trail(
     def reach_mask(v: int, used: int, vmask: int, room: int) -> tuple[int, bool]:
         """Vertices reachable from ``v`` over unused edges, and True; or those
         found once ``room`` of them lie outside ``vmask`` (the bound can then
-        no longer prune), and False."""
+        no longer prune), and False.  It steps over edge ids, not vertex
+        masks, so graphcore's flood cannot serve it."""
         mask = 1 << v
         queue = [v]
         for u in queue:

@@ -26,6 +26,31 @@ def neighbor_sets(g: MultiGraph) -> list[set[int]]:
     return nbrs
 
 
+def layered_reach(g: MultiGraph, seed: set[int], within: set[int], radius: int | None) -> set[int]:
+    """The seed plus every vertex of ``within`` joined to it by a path of at
+    most ``radius`` steps (any length when None) whose other vertices all
+    lie in ``within``, one BFS ring at a time."""
+    nbrs = neighbor_sets(g)
+    reached, ring, steps = set(seed), set(seed), 0
+    while ring and (radius is None or steps < radius):
+        ring = {w for x in ring for w in nbrs[x] if w in within} - reached
+        reached |= ring
+        steps += 1
+    return reached
+
+
+def subgraph_components_by_edges(g: MultiGraph, edge_ids, extra_vertices) -> tuple[frozenset[int], ...]:
+    """Components of a subgraph by merging endpoint classes one edge at a
+    time, each extra vertex on its own, ordered by smallest member."""
+    classes = {v: frozenset([v]) for v in extra_vertices}
+    for eid in edge_ids:
+        u, v = g.edges[eid]
+        merged = classes.get(u, frozenset([u])) | classes.get(v, frozenset([v]))
+        for x in merged:
+            classes[x] = merged
+    return tuple(sorted(set(classes.values()), key=min))
+
+
 def floyd_warshall(g: MultiGraph) -> list[list[float]]:
     n = g.vertex_count
     dist = [[math.inf] * n for _ in range(n)]

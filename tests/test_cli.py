@@ -1,6 +1,9 @@
 """End-to-end checks of the command-line interface."""
 
+import io
 import json
+
+import pytest
 
 from itline.cli import main
 from itline.families import fig1, star
@@ -144,3 +147,43 @@ def test_malformed_input_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "index", "--in", str(src))
     assert code == 2
     assert "error:" in err
+
+
+def _single_error_line(err):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("text", ["", "  \n\t\n"])
+def test_empty_input_is_an_input_error(capsys, monkeypatch, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "index")
+    assert code == 2 and out == ""
+    _single_error_line(err)
+
+
+def test_missing_input_file_is_an_input_error(capsys, tmp_path):
+    for argv in (("bounds", "--in"), ("verify", "--theorem", "main", "--in")):
+        code, out, err = run(capsys, *argv, str(tmp_path / "missing.g6"))
+        assert code == 2 and out == ""
+        _single_error_line(err)
+        assert "missing.g6" in err
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_nonpositive_budget_is_an_input_error(capsys, tmp_path, budget):
+    src = tmp_path / "star.g6"
+    src.write_text(to_graph6(star(3)) + "\n")
+    code, out, err = run(capsys, "check-eup", "--k", "2", "--budget", budget, "--in", str(src))
+    assert code == 2 and out == ""
+    _single_error_line(err)
+
+
+def test_malformed_budget_variable_is_an_input_error(capsys, monkeypatch, tmp_path):
+    src = tmp_path / "star.g6"
+    src.write_text(to_graph6(star(3)) + "\n")
+    monkeypatch.setenv("ITLINE_BUDGET", "x")
+    code, out, err = run(capsys, "index", "--in", str(src))
+    assert code == 2 and out == ""
+    _single_error_line(err)
+    assert "ITLINE_BUDGET" in err

@@ -13,7 +13,6 @@ from itline.eup import (
     VARIANT_EU,
     VARIANT_EUP,
     _ball_masks,
-    _reach,
     canonical_candidate,
     check_conditions,
     find_witness,
@@ -24,6 +23,7 @@ from itline.graphcore import (
     DisconnectedGraphError,
     InputError,
     MultiGraph,
+    _flood,
     subgraph,
     subgraph_components,
     subgraph_distance,
@@ -126,6 +126,21 @@ def test_fig1_has_no_level1_witness_but_level2():
     assert check_conditions(g, w, 2, VARIANT_EUP).overall
 
 
+def test_search_walks_the_branches_once(monkeypatch):
+    # The bare-cycle walk is left out when G has branches; a found witness is
+    # rechecked by check_conditions, which walks them once more.
+    import itline.structure
+
+    walked = []
+    walk = itline.structure._branch_walk
+    monkeypatch.setattr(itline.structure, "_branch_walk", lambda g: walked.append(g) or walk(g))
+    g = fig1()
+    assert find_witness(g, 1, VARIANT_EUP) is None
+    assert len(walked) == 1
+    assert find_witness(g, 2, VARIANT_EUP) is not None
+    assert len(walked) == 3
+
+
 def test_cycle_eu_witness_is_the_cycle_itself():
     g = cycle(6)
     w = find_witness(g, 1, VARIANT_EU)
@@ -209,9 +224,9 @@ def test_ball_mask_proximity_matches_distance_table(g, data):
         return mask
 
     for k in (1, 2, 3, 4):
-        ball = _ball_masks(g, k - 1)
+        links = _ball_masks(g, k - 1) if k > 1 else [hops(x) for x in range(g.vertex_count)]
         want, _ = proximity_by_distances(comps, dist, k)
-        got = not need or _reach(need & -need, need, ball, None if k > 1 else hops) == need
+        got = not need or _flood(links, need & -need, need) == need
         assert got == want
 
 

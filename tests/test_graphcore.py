@@ -5,6 +5,7 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from itline.families import cycle, fig1, fig4b, path, star, two_cycle
 from itline.graphcore import (
@@ -13,6 +14,7 @@ from itline.graphcore import (
     MultiGraph,
     ParseError,
     Trail,
+    _flood,
     all_pairs_distances,
     bfs_distances,
     bridges,
@@ -34,7 +36,13 @@ from itline.graphcore import (
 )
 
 from .conftest import doubled_multigraphs, multigraphs, simple_graphs
-from .oracles import brute_subgraph_distance, floyd_warshall, neighbor_sets
+from .oracles import (
+    brute_subgraph_distance,
+    floyd_warshall,
+    layered_reach,
+    neighbor_sets,
+    subgraph_components_by_edges,
+)
 
 
 def test_loops_rejected():
@@ -128,6 +136,13 @@ def test_subgraph_distance_matches_floyd_warshall(g):
             assert subgraph_distance(g, {u}, {v}) == brute_subgraph_distance(g, [u], [v])
 
 
+@given(multigraphs(max_vertices=7, max_edges=9), st.data())
+def test_subgraph_distance_between_vertex_sets_matches_floyd_warshall(g, data):
+    verts = st.sets(st.integers(0, g.vertex_count - 1), min_size=1)
+    a, b = data.draw(verts), data.draw(verts)
+    assert subgraph_distance(g, a, b) == brute_subgraph_distance(g, a, b)
+
+
 def test_diameter_path():
     assert diameter(path(5)) == 4
 
@@ -167,6 +182,36 @@ def test_adjacency_routes_match_edge_list_and_floyd_warshall(g):
     else:
         with pytest.raises(DisconnectedGraphError):
             diameter(g)
+
+
+def _members(mask):
+    return {v for v in range(mask.bit_length()) if mask >> v & 1}
+
+
+@given(
+    doubled_multigraphs(max_vertices=8, max_edges=10),
+    st.data(),
+    st.sampled_from([None, 0, 1, 2, 3]),
+)
+def test_flood_matches_layered_bfs(g, data, radius):
+    # The one closure loop over vertex masks, against a BFS ring by ring over
+    # edge-list neighbour sets: random seed, random allowed set (or every
+    # vertex, the default), radius unbounded or 0..3.
+    everyone = (1 << g.vertex_count) - 1
+    seed = data.draw(st.integers(0, everyone))
+    within = data.draw(st.one_of(st.just(-1), st.integers(0, everyone)))
+    allowed = set(range(g.vertex_count)) if within == -1 else _members(within)
+    got = _flood(g.neighbor_masks, seed, within, radius)
+    assert _members(got) == layered_reach(g, _members(seed), allowed, radius)
+
+
+@given(doubled_multigraphs(max_vertices=8, max_edges=10), st.data())
+def test_subgraph_components_match_edge_merging(g, data):
+    chosen = data.draw(st.sets(st.integers(0, g.edge_count - 1))) if g.edge_count else set()
+    touched = {v for eid in chosen for v in g.edges[eid]}
+    extras = data.draw(st.sets(st.sampled_from(range(g.vertex_count)))) - touched
+    h = subgraph(g, chosen, extras)
+    assert subgraph_components(g, h) == subgraph_components_by_edges(g, chosen, extras)
 
 
 def test_bridges_of_named_graphs():
