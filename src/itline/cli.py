@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -343,10 +344,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if "budget" in vars(args):
             _check_budget(args.budget)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except GraphError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except BrokenPipeError:
+        # The reader is gone; the flush at exit writes what is left to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

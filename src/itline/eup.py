@@ -33,11 +33,9 @@ from .graphcore import (
     _flood,
     is_connected,
     mask_members,
-    odd_vertices,
     subgraph,
     subgraph_components,
     subgraph_degrees,
-    subgraph_vertices,
 )
 from .structure import branches, cycle_component_edges
 
@@ -148,7 +146,7 @@ class _LiveLinks:
 
     def __init__(self, g: MultiGraph, out: bytearray):
         self.inc = g.incidence
-        self.ends = [a ^ b for a, b in g.edges]  # the far end of eid from x is ends[eid] ^ x
+        self.ends = g.ends
         self.out = out
 
     def __getitem__(self, x: int) -> int:
@@ -166,43 +164,36 @@ def check_conditions(g: MultiGraph, h: SubgraphH, k: int, variant: str) -> Condi
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
     h = subgraph(g, h.edge_ids, h.extra_vertices)  # revalidates against g
+    return _conditions(g, h, k, variant, branches(g))
 
+
+def _conditions(g: MultiGraph, h: SubgraphH, k: int, variant: str, blist) -> ConditionReport:
+    """:func:`check_conditions` of a subgraph valid in ``g``, given G's branches."""
     degs = subgraph_degrees(g, h)
-    odd = sorted(odd_vertices(g, h))
-    if variant == VARIANT_EU:
-        if odd:
-            parity = Verdict(False, f"odd degree in H at vertex {odd[0]}")
-        else:
-            parity = Verdict(True)
-    else:
-        if len(odd) > 2:
-            parity = Verdict(False, f"{len(odd)} odd vertices in H: {odd}")
-        else:
-            parity = Verdict(True)
+    odd = sorted(v for v, d in degs.items() if d % 2)
+    parity = Verdict(True)
+    if variant == VARIANT_EU and odd:
+        parity = Verdict(False, f"odd degree in H at vertex {odd[0]}")
+    elif len(odd) > 2:
+        parity = Verdict(False, f"{len(odd)} odd vertices in H: {odd}")
 
-    v3 = frozenset(v for v in range(g.vertex_count) if g.degree(v) >= 3)
-    verts = subgraph_vertices(g, h)
-    isolated = sorted(v for v, d in degs.items() if d == 0)
-    bad_isolated = [v for v in isolated if v not in v3]
-    missing = sorted(v3 - verts)
+    inc = g.incidence
+    bad_isolated = sorted(v for v, d in degs.items() if d == 0 and len(inc[v]) < 3)
+    missing = [v for v, ids in enumerate(inc) if len(ids) >= 3 and v not in degs]
+    coverage = Verdict(True)
     if bad_isolated:
-        coverage = Verdict(
-            False, f"isolated vertex {bad_isolated[0]} has degree {g.degree(bad_isolated[0])} < 3 in G"
-        )
+        v = bad_isolated[0]
+        coverage = Verdict(False, f"isolated vertex {v} has degree {len(inc[v])} < 3 in G")
     elif missing:
         coverage = Verdict(False, f"degree->=3 vertex {missing[0]} is not in H")
-    else:
-        coverage = Verdict(True)
 
-    comps = subgraph_components(g, h)
-    ok, detail = _proximity_ok(g, comps, k)
-    proximity = Verdict(ok, detail)
+    proximity = Verdict(*_proximity_ok(g, subgraph_components(g, h), k))
 
     avoided = Verdict(True)
     pendant = Verdict(True)
     hedges = h.edge_ids
-    for b in branches(g):
-        disjoint = not (set(b.edge_ids) & hedges)
+    for b in blist:
+        disjoint = hedges.isdisjoint(b.edge_ids)
         if disjoint and b.length > k + 1 and avoided.ok:
             avoided = Verdict(
                 False,
@@ -230,13 +221,11 @@ def canonical_candidate(g: MultiGraph, edge_ids) -> SubgraphH:
     edge_ids = frozenset(edge_ids)
     covered = set()
     for eid in edge_ids:
-        u, v = g.endpoints(eid)
-        covered.add(u)
-        covered.add(v)
+        covered.update(g.endpoints(eid))  # validates the edge id
     extras = frozenset(
-        v for v in range(g.vertex_count) if g.degree(v) >= 3 and v not in covered
+        v for v, ids in enumerate(g.incidence) if len(ids) >= 3 and v not in covered
     )
-    return subgraph(g, edge_ids, extras)
+    return SubgraphH(edge_ids, extras)
 
 
 def witness_to_json(h: SubgraphH, report: ConditionReport) -> dict:
@@ -271,9 +260,10 @@ def find_witness(
     of the items and the class may split.  At the last depth the available
     items are exactly the leaf's subgraph, so a leaf that gets there
     satisfies every condition; it is built with :func:`canonical_candidate`
-    and rechecked by :func:`check_conditions` before it is returned.  A
-    sound prune cannot change the first witness in search order.  The
-    empty subgraph is not considered a witness.
+    and rechecked by the conditions of :func:`check_conditions`, on the
+    branches walked here, before it is returned.  A sound prune cannot
+    change the first witness in search order.  The empty subgraph is not
+    considered a witness.
     """
     variant = _norm_variant(variant)
     if k < 1:
@@ -292,22 +282,20 @@ def find_witness(
                 return None
     odd_budget = 0 if variant == VARIANT_EU else 2
 
-    def fails_if_avoided(b) -> bool:
-        if b.length > k + 1:
-            return True
-        return variant == VARIANT_EUP and b.touches_degree_one and b.length > k
-
-    ordered = sorted(blist, key=lambda b: (not fails_if_avoided(b), -b.length, b.edge_ids))
+    # Branches that fail when avoided are decided first, then longer ones.
+    # A pendant one fails past k edges (for EU none is left, see above).
+    keyed = sorted(
+        (b.length <= (k if b.touches_degree_one else k + 1), -b.length, b.edge_ids)
+        for b in blist
+    )
+    bbad = [not fine for fine, _, _ in keyed]
+    bsize = [len(eids) for _, _, eids in keyed]
     order: list[int] = []
     ebranch = [-1] * m
-    bsize: list[int] = []
-    bbad: list[bool] = []
-    for bi, b in enumerate(ordered):
-        bsize.append(b.length)
-        bbad.append(fails_if_avoided(b))
-        for eid in b.edge_ids:
+    for bi, (_, _, eids) in enumerate(keyed):
+        for eid in eids:
             ebranch[eid] = bi
-            order.append(eid)
+        order.extend(eids)
     if not blist:
         # Only a bare cycle has edges on no branch (G is connected).
         order.extend(e for cyc in cycle_component_edges(g) for e in cyc)
@@ -317,7 +305,7 @@ def find_witness(
     radius = k - 1
     ball = _ball_masks(g, radius)
     end_mask = [(1 << u) | (1 << v) for u, v in edges]
-    undecided = [g.degree(v) for v in range(n)]
+    undecided = [len(ids) for ids in g.incidence]
     high = [d >= 3 for d in undecided]
     v3_mask = sum(1 << v for v in range(n) if high[v])
     parity = [0] * n
@@ -459,7 +447,7 @@ def find_witness(
                 need_at[i], alive_at[i], reach_at[i] = need, alive, reach
             elif need:
                 candidate = canonical_candidate(g, compress(range(m), inS))
-                if not check_conditions(g, candidate, k, variant).overall:
+                if not _conditions(g, candidate, k, variant, blist).overall:
                     raise GraphError(
                         "internal: search produced a candidate its own recheck rejects"
                     )

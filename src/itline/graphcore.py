@@ -75,6 +75,11 @@ class MultiGraph:
         return tuple(tuple(ids) for ids in inc)
 
     @cached_property
+    def ends(self) -> tuple[int, ...]:
+        """``u ^ v`` per edge (u, v): the far end of ``eid`` from ``x`` is ``ends[eid] ^ x``."""
+        return tuple(u ^ v for u, v in self.edges)
+
+    @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
         """Distinct neighbours of each vertex as a bitmask (bit w set iff w is adjacent)."""
         nbr = [0] * self.vertex_count
@@ -82,6 +87,12 @@ class MultiGraph:
             nbr[u] |= 1 << v
             nbr[v] |= 1 << u
         return tuple(nbr)
+
+    @cached_property
+    def connected(self) -> bool:
+        """True iff the graph has a vertex and a single component."""
+        everyone = (1 << self.vertex_count) - 1
+        return everyone > 0 and _flood(self.neighbor_masks, 1, everyone) == everyone
 
     def check_vertex(self, v: int) -> None:
         if not (0 <= v < self.vertex_count):
@@ -109,6 +120,14 @@ class MultiGraph:
         """Neighbor set of ``v`` without multiplicity (parallel edges collapse)."""
         self.check_vertex(v)
         return frozenset(mask_members(self.neighbor_masks[v]))
+
+
+def _unchecked(cls, *values):
+    """A frozen dataclass ``cls`` built from known-valid field values, skipping its checks."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def mask_members(mask: int) -> list[int]:
@@ -220,8 +239,7 @@ def connected_components(g: MultiGraph) -> tuple[frozenset[int], ...]:
 
 
 def is_connected(g: MultiGraph) -> bool:
-    everyone = (1 << g.vertex_count) - 1
-    return everyone > 0 and _flood(g.neighbor_masks, 1, everyone) == everyone
+    return g.connected
 
 
 def bridges(g: MultiGraph) -> frozenset[int]:
@@ -302,13 +320,9 @@ class SubgraphH:
 def subgraph(g: MultiGraph, edge_ids: Iterable[int], extra_vertices: Iterable[int] = ()) -> SubgraphH:
     """Validated :class:`SubgraphH` constructor."""
     h = SubgraphH(frozenset(edge_ids), frozenset(extra_vertices))
-    for eid in h.edge_ids:
-        g.endpoints(eid)
     covered = set()
     for eid in h.edge_ids:
-        u, v = g.edges[eid]
-        covered.add(u)
-        covered.add(v)
+        covered.update(g.endpoints(eid))
     for v in h.extra_vertices:
         g.check_vertex(v)
         if v in covered:
@@ -317,12 +331,7 @@ def subgraph(g: MultiGraph, edge_ids: Iterable[int], extra_vertices: Iterable[in
 
 
 def subgraph_vertices(g: MultiGraph, h: SubgraphH) -> frozenset[int]:
-    verts = set(h.extra_vertices)
-    for eid in h.edge_ids:
-        u, v = g.endpoints(eid)
-        verts.add(u)
-        verts.add(v)
-    return frozenset(verts)
+    return frozenset(subgraph_degrees(g, h))
 
 
 def subgraph_degrees(g: MultiGraph, h: SubgraphH) -> dict[int, int]:
@@ -413,11 +422,16 @@ def trail_from_order(g: MultiGraph, order: Sequence[int], closed: bool = False) 
     that the trail has not used yet: on two vertices, a closed order goes
     out by one edge of a parallel pair and back by the other.
     """
-    verts = tuple(order) + (order[0],) if closed else tuple(order)
+    verts = tuple(map(int, [*order, *order[:1]] if closed else order))
+    inc, ends = g.incidence, g.ends
     eids: dict[int, None] = {}  # insertion-ordered, with set membership
     for a, b in zip(verts, verts[1:]):
-        eids[next(e for e in g.incidence[a] if g.other_end(e, a) == b and e not in eids)] = None
-    return Trail(verts, tuple(eids), verts[0] == verts[-1])
+        g.check_vertex(a)
+        eid = next((e for e in inc[a] if ends[e] ^ a == b and e not in eids), None)
+        if eid is None:
+            raise InputError(f"no unused edge joins {a} and {b}")
+        eids[eid] = None
+    return _unchecked(Trail, verts, tuple(eids), verts[0] == verts[-1])
 
 
 def validate_trail(g: MultiGraph, t: Trail) -> None:

@@ -25,6 +25,7 @@ from .graphcore import (
     MultiGraph,
     Trail,
     _flood,
+    _neighbor_lists,
     is_connected,
     mask_members,
     trail_from_order,
@@ -75,8 +76,9 @@ def _search(g: MultiGraph, cycle: bool, budget: Budget) -> tuple[int, ...] | Non
     cycle is anchored at a vertex of least degree.
     """
     adj = g.neighbor_masks
-    by_degree = sorted(range(g.vertex_count), key=lambda v: (adj[v].bit_count(), v))
-    leaves = [v for v in by_degree if adj[v].bit_count() <= 1]
+    deg = [m.bit_count() for m in adj]
+    by_degree = sorted(range(g.vertex_count), key=deg.__getitem__)  # stable: ties by id
+    leaves = [v for v in by_degree if deg[v] <= 1]
     if cycle:
         if leaves:
             return None
@@ -85,7 +87,8 @@ def _search(g: MultiGraph, cycle: bool, budget: Budget) -> tuple[int, ...] | Non
         return None
     else:
         starts = leaves[:1] or by_degree
-    nbrs = [mask_members(m) for m in adj]
+    # Distinct neighbours: the far ends of the edges unless some are parallel.
+    nbrs = _neighbor_lists(g) if sum(deg) == 2 * g.edge_count else [mask_members(m) for m in adj]
     for start in starts:
         order = _search_from(start, nbrs, adj, cycle, budget)
         if order is not None:
@@ -115,13 +118,10 @@ def _search_from(
     low = sum(1 for v, e in enumerate(exits) if e < 2 and v != start)
     path = [start]
 
-    def children(v: int) -> list[int]:
-        # Reversed so that pop() yields the most constrained child first.
-        return sorted(
-            (w for w in nbrs[v] if free >> w & 1),
-            key=lambda w: ((adj[w] & free).bit_count(), w),
-            reverse=True,
-        )
+    def children(v: int) -> list[tuple[int, int]]:
+        # (exits, child), reversed so that pop() yields the most constrained first.
+        return sorted([((adj[w] & free).bit_count(), w) for w in nbrs[v] if free >> w & 1],
+                      reverse=True)
 
     def advance(v: int, w: int) -> None:
         # The end moves from v to w, and v stops being an exit.
@@ -152,7 +152,7 @@ def _search_from(
                 retreat(path[-1], w)
             continue
         v = path[-1]
-        w = frames[-1].pop()
+        w = frames[-1].pop()[1]
         budget.tick()
         branching = (adj[v] & free) != 1 << w
         advance(v, w)

@@ -39,7 +39,7 @@ def is_path_graph(g: MultiGraph) -> bool:
         return False
     if g.edge_count != g.vertex_count - 1:
         return False
-    return all(g.degree(v) <= 2 for v in range(g.vertex_count))
+    return all(len(ids) <= 2 for ids in g.incidence)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphcore import GraphError, InputError, MultiGraph, mask_members
+from .graphcore import GraphError, InputError, MultiGraph, _unchecked, mask_members
 
 
 class EdgelessGraphError(GraphError):
@@ -47,11 +47,9 @@ def line_graph(g: MultiGraph) -> LineGraphResult:
     if m == 0:
         raise EdgelessGraphError("line graph of an edgeless graph is undefined")
     pairs: set[tuple[int, int]] = set()
-    for v in range(g.vertex_count):
-        ids = g.incidence[v]
-        for a, b in combinations(ids, 2):
-            pairs.add((a, b) if a < b else (b, a))
-    lg = MultiGraph(m, tuple(sorted(pairs)))
+    for ids in g.incidence:
+        pairs.update(combinations(ids, 2))  # ids ascend, so each pair does
+    lg = _unchecked(MultiGraph, m, tuple(sorted(pairs)))
     return LineGraphResult(lg, tuple(range(m)))
 
 

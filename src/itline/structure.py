@@ -35,6 +35,7 @@ from .graphcore import (
     InputError,
     MultiGraph,
     Trail,
+    _unchecked,
     bridges,
     is_connected,
     trivial_trail,
@@ -79,12 +80,12 @@ class Branch:
 
 def _branch_walk(g: MultiGraph):
     """Walk out every branch; returns (branches, used-edge flags)."""
-    deg = [g.degree(v) for v in range(g.vertex_count)]
-    w_set = {v for v in range(g.vertex_count) if deg[v] != 2}
+    inc, ends = g.incidence, g.ends
+    w_set = {v for v, ids in enumerate(inc) if len(ids) != 2}
     used = [False] * g.edge_count
     found: list[Branch] = []
     for w in sorted(w_set):
-        for start_eid in g.incidence[w]:
+        for start_eid in inc[w]:
             if used[start_eid]:
                 continue
             verts = [w]
@@ -93,11 +94,11 @@ def _branch_walk(g: MultiGraph):
             while True:
                 used[cur_e] = True
                 eids.append(cur_e)
-                nxt = g.other_end(cur_e, cur_v)
+                nxt = ends[cur_e] ^ cur_v
                 verts.append(nxt)
                 if nxt in w_set:
                     break
-                e1, e2 = g.incidence[nxt]
+                e1, e2 = inc[nxt]
                 cur_e = e2 if e1 == cur_e else e1
                 cur_v = nxt
             closed = verts[0] == verts[-1]
@@ -109,7 +110,7 @@ def _branch_walk(g: MultiGraph):
                     tuple(verts),
                     tuple(eids),
                     is_closed=closed,
-                    touches_degree_one=deg[verts[0]] == 1 or deg[verts[-1]] == 1,
+                    touches_degree_one=len(inc[verts[0]]) == 1 or len(inc[verts[-1]]) == 1,
                 )
             )
     found.sort(key=lambda b: b.edge_ids)
@@ -130,6 +131,7 @@ def branches_b1(g: MultiGraph) -> tuple[Branch, ...]:
 def cycle_component_edges(g: MultiGraph) -> tuple[tuple[int, ...], ...]:
     """Edge ids of each bare-cycle component (every vertex degree 2), in cyclic order."""
     _, used = _branch_walk(g)
+    inc, ends = g.incidence, g.ends
     comps = []
     for eid in range(g.edge_count):
         if used[eid]:
@@ -140,10 +142,10 @@ def cycle_component_edges(g: MultiGraph) -> tuple[tuple[int, ...], ...]:
         while True:
             used[cur_e] = True
             cyc.append(cur_e)
-            cur_v = g.other_end(cur_e, cur_v)
+            cur_v = ends[cur_e] ^ cur_v
             if cur_v == v0:
                 break
-            e1, e2 = g.incidence[cur_v]
+            e1, e2 = inc[cur_v]
             cur_e = e2 if e1 == cur_e else e1
         comps.append(tuple(cyc))
     return tuple(comps)
@@ -189,10 +191,7 @@ def _walk_trails(
     nonempty trails back at their start and expands all others.
     Returns the trail ``visit`` stopped at, as (vertices, edge ids), or None.
     """
-    inc = g.incidence
-    # An edge's endpoints xor-ed together: the far end of eid from v is
-    # ends[eid] ^ v.
-    ends = [a ^ b for a, b in g.edges]
+    inc, ends = g.incidence, g.ends
     tick = budget.tick
     seen: set[tuple[int, int]] = set()
     if closed:
@@ -278,23 +277,21 @@ def max_trail(
     lowers either, so an optimal trail can be taken maximal, and trails
     start at odd-degree vertices only (at 0 when G is Eulerian; see the
     module docstring), in increasing order, which decides the witness among
-    equal optima.  States (current vertex, used edges) determine all future
-    extensions, so revisited states are skipped; an optimistic reachability
-    bound prunes the rest.  The bound is kept per depth: a step that uses
-    the last unused edge at the old end leaves it unchanged, so only other
-    steps search for the reach over unused edges.
+    equal optima.  The search stops at the first trail through all n
+    vertices, which also covers every degree->=3 vertex.  States (current
+    vertex, used edges) determine all future extensions, so revisited states
+    are skipped; an optimistic reachability bound prunes the rest.  The
+    bound is kept per depth: a step that uses the last unused edge at the
+    old end leaves it unchanged, so only other steps search for the reach
+    over unused edges.
     """
     if g.vertex_count == 0:
         raise InputError("max_trail requires a nonempty graph")
     if not is_connected(g):
         raise DisconnectedGraphError("max_trail requires a connected graph")
     n, m = g.vertex_count, g.edge_count
-    v3_mask = 0
-    for v in range(n):
-        if g.degree(v) >= 3:
-            v3_mask |= 1 << v
-    inc = g.incidence
-    ends = [a ^ b for a, b in g.edges]  # the far end of eid from u is ends[eid] ^ u
+    inc, ends = g.incidence, g.ends
+    v3_mask = sum(1 << v for v, ids in enumerate(inc) if len(ids) >= 3)
     inc_mask = [sum(1 << eid for eid in inc[v]) for v in range(n)]
 
     # Best-so-far, seeded with the best trivial trail.
@@ -342,6 +339,8 @@ def max_trail(
         if count > best_count or (count == best_count and cov > best_cov):
             best_count, best_cov = count, cov
             best_vs, best_es = tuple(path_v), tuple(path_e)
+            if count == n:
+                return _STOP
         depth = len(path_e)
         ub, whole = 0, False
         if depth and not inc_mask[path_v[-2]] & ~used:
@@ -365,7 +364,7 @@ def max_trail(
     except BudgetExhausted as exc:
         return Unknown("max_trail", exc.spent, f"graph with {n} vertices, {m} edges")
 
-    trail = Trail(best_vs, best_es, best_vs[0] == best_vs[-1])
+    trail = _unchecked(Trail, best_vs, best_es, best_vs[0] == best_vs[-1])
     return MaxTrailResult(trail, best_count, v3_mask.bit_count() - best_cov)
 
 
@@ -427,4 +426,4 @@ def find_dominating_trail(
     if found is None:
         return None
     vertices, edge_ids = found
-    return Trail(vertices, edge_ids, vertices[0] == vertices[-1])
+    return _unchecked(Trail, vertices, edge_ids, vertices[0] == vertices[-1])

@@ -283,6 +283,18 @@ def brute_has_dominating_trail(g: MultiGraph, closed: bool) -> bool:
     return False
 
 
+def trail_along_order(g: MultiGraph, order, closed: bool = False) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(vertices, edge ids) of the trail along a vertex order, back to its
+    start when ``closed``: each step takes the smallest edge id joining its
+    two vertices that the trail has not used, by a scan of the edge list."""
+    verts = list(order) + list(order[:1]) * closed
+    used: list[int] = []
+    for a, b in zip(verts, verts[1:]):
+        used.append(min(e for e, (u, v) in enumerate(g.edges)
+                        if {u, v} == {a, b} and e not in used))
+    return tuple(verts), tuple(used)
+
+
 def brute_simple_paths(g: MultiGraph, min_vertices: int = 3):
     """All simple paths with at least ``min_vertices`` vertices, one orientation each."""
     n = g.vertex_count

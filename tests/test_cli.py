@@ -2,13 +2,20 @@
 
 import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from itline.cli import main
 from itline.families import fig1, star
 from itline.graphcore import parse_edgelist, parse_graph6, to_edgelist, to_graph6
 
+from .conftest import connected_multigraphs
 from .oracles import is_isomorphic
 
 
@@ -187,3 +194,83 @@ def test_malformed_budget_variable_is_an_input_error(capsys, monkeypatch, tmp_pa
     assert code == 2 and out == ""
     _single_error_line(err)
     assert "ITLINE_BUDGET" in err
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write fails with EPIPE."""
+
+    def __init__(self, fd: int):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_pipe_exits_nonzero_without_a_traceback(capsys, monkeypatch, tmp_path):
+    # main points the stdout descriptor at devnull; here that is a scratch
+    # file's descriptor, not the test run's own stdout.
+    with open(tmp_path / "stdout", "w") as sink:
+        monkeypatch.setattr("sys.stdout", _ClosedPipe(sink.fileno()))
+        code = main(["gen", "fig1"])
+    assert code == 1
+    assert capsys.readouterr().err == ""
+
+
+def _run_io(argv, stdin=""):
+    """main(argv) on the given stdin, with stdout and stderr captured."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+#: Every subcommand that reads one graph, with the arguments it needs.
+_GRAPH_COMMANDS = (
+    ("linegraph",),
+    ("check-eup", "--k", "2"),
+    ("check-eup", "--k", "1", "--variant", "eu", "--witness"),
+    ("index",),
+    ("bounds",),
+)
+
+#: Input that no reader accepts: nothing, a graph6 line with a byte below
+#: graph6's range, an edge-list body shorter than its header, or an edge
+#: with an endpoint out of range.
+_GARBAGE = st.one_of(
+    st.sampled_from(["", " \n\t\n"]),
+    st.text(max_size=20).map(lambda s: "!" + s),
+    st.integers(2, 9).map(lambda m: f"{m + 1} {m}\n0 1\n"),
+    st.integers(2, 9).map(lambda n: f"{n} 1\n0 {n}\n"),
+)
+
+
+@settings(deadline=None, max_examples=25)
+@given(connected_multigraphs(max_vertices=6, max_extra_edges=3), st.booleans(), _GARBAGE)
+def test_exit_codes_of_every_subcommand(g, as_graph6, garbage):
+    # 0 on a valid connected graph, 2 on input no reader accepts, and never
+    # an escaping exception or a traceback.
+    simple = len({tuple(sorted(e)) for e in g.edges}) == g.edge_count
+    text = to_graph6(g) + "\n" if as_graph6 and simple else to_edgelist(g)
+    for argv in _GRAPH_COMMANDS:
+        if argv[0] == "linegraph" and not g.edge_count:
+            continue
+        code, out, err = _run_io(argv, text)
+        assert code == 0 and out and "Traceback" not in err, (argv, err)
+        code, out, err = _run_io(argv, garbage)
+        assert code == 2 and out == "" and err.startswith("error: "), (argv, garbage, err)
+    assert _run_io(["gen", "path", str(g.vertex_count)])[0] == 0
+    assert _run_io(["gen", "path"])[0] == 2
+    with tempfile.TemporaryDirectory() as tmp:
+        good, bad = os.path.join(tmp, "good.g6"), os.path.join(tmp, "bad.g6")
+        with open(good, "w") as f:
+            f.write("D?{\nCh\n")  # the star K_{1,4} and the path on 4 vertices
+        with open(bad, "w") as f:
+            f.write(garbage if garbage.strip() else "!")
+        for argv in (("corpus", "--in"), ("verify", "--theorem", "bounds", "--in")):
+            assert _run_io([*argv, good])[0] == 0
+            code, out, err = _run_io([*argv, bad])
+            assert code == 2 and "Traceback" not in err, (argv, err)

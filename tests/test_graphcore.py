@@ -31,6 +31,7 @@ from itline.graphcore import (
     subgraph_distance,
     to_edgelist,
     to_graph6,
+    trail_from_order,
     trivial_trail,
     validate_trail,
 )
@@ -42,6 +43,7 @@ from .oracles import (
     layered_reach,
     neighbor_sets,
     subgraph_components_by_edges,
+    trail_along_order,
 )
 
 
@@ -212,6 +214,45 @@ def test_subgraph_components_match_edge_merging(g, data):
     extras = data.draw(st.sets(st.sampled_from(range(g.vertex_count)))) - touched
     h = subgraph(g, chosen, extras)
     assert subgraph_components(g, h) == subgraph_components_by_edges(g, chosen, extras)
+
+
+@given(doubled_multigraphs(max_vertices=6, max_edges=8), st.data())
+def test_trail_from_order_matches_edge_list_scan(g, data):
+    # The vertex order of a random trail, open, and closed when the trail
+    # ends where it began: trail_from_order must join it by the smallest
+    # unused edge ids, as a scan of the edge list does.  Doubled edges give
+    # parallel pairs, and so closed orders on 2 vertices.
+    if not g.edge_count:
+        return
+    v = data.draw(st.sampled_from(g.edges))[0]
+    order, used = [v], set()
+    for _ in range(data.draw(st.integers(1, g.edge_count))):
+        free = [e for e, pair in enumerate(g.edges) if v in pair and e not in used]
+        if not free:
+            break
+        eid = data.draw(st.sampled_from(free))
+        used.add(eid)
+        v = sum(g.edges[eid]) - v
+        order.append(v)
+    orders = [(order, False)]
+    if len(order) > 2 and order[-1] == order[0]:
+        orders.append((order[:-1], True))
+    for o, closed in orders:
+        t = trail_from_order(g, o, closed)
+        assert (t.vertices, t.edge_ids) == trail_along_order(g, o, closed)
+        assert t.closed == (t.vertices[0] == t.vertices[-1])
+        validate_trail(g, t)
+
+
+def test_trail_from_order_closes_a_two_cycle_by_its_second_edge():
+    t = trail_from_order(two_cycle(), (1, 0), closed=True)
+    assert (t.vertices, t.edge_ids, t.closed) == ((1, 0, 1), (0, 1), True)
+
+
+@pytest.mark.parametrize("order", [(0, 2), (-1, 1), (1, 3), (0, 1, 0)])
+def test_trail_from_order_rejects_an_order_no_trail_follows(order):
+    with pytest.raises(InputError):
+        trail_from_order(path(3), order)
 
 
 def test_bridges_of_named_graphs():

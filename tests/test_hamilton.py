@@ -3,10 +3,11 @@
 import pytest
 from hypothesis import given, settings
 
-from itline.budget import Unknown
+from itline.budget import Budget, Unknown
 from itline.families import complete, cycle, fig1, fig2, fig3, fig4b, path, star, two_cycle
 from itline.graphcore import InputError, MultiGraph, Trail, trivial_trail
 from itline.hamilton import (
+    _search,
     has_hamiltonian_cycle,
     has_hamiltonian_path,
     is_hamiltonian_cycle,
@@ -76,6 +77,19 @@ def test_backtracking_budget_exhaustion_is_unknown():
 def test_oracles_agree_with_permutation_check(g):
     assert has_hamiltonian_path(g).value == brute_is_traceable(g)
     assert has_hamiltonian_cycle(g).value == brute_is_hamiltonian(g)
+
+
+@given(connected_multigraphs(max_vertices=7, max_extra_edges=4))
+def test_parallel_edges_leave_the_search_unchanged(g):
+    # The search steps to distinct neighbours, so the simple graph with the
+    # same adjacency gets the same answer after the same number of nodes.
+    simple = MultiGraph(g.vertex_count, tuple({tuple(sorted(e)) for e in g.edges}))
+    for cycle_wanted in (False, True):
+        runs = []
+        for h in (g, simple):
+            budget = Budget()
+            runs.append((_search(h, cycle_wanted, budget), budget.spent))
+        assert runs[0] == runs[1]
 
 
 @settings(deadline=None)

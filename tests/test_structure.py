@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from itline.budget import Unknown
-from itline.families import cycle, fig1, fig2, fig3, fig4b, path, star, two_cycle
+from itline.families import complete, cycle, fig1, fig2, fig3, fig4b, path, star, two_cycle
 from itline.graphcore import (
     DisconnectedGraphError,
     MultiGraph,
@@ -223,6 +223,17 @@ def test_trail_search_trees_are_pinned():
         starved = run(g, node_budget=nodes - 1)
         assert isinstance(starved, Unknown) and starved.budget_spent == nodes
         assert not isinstance(run(g, node_budget=nodes), Unknown)
+
+
+def test_max_trail_stops_at_full_cover():
+    # A trail through all n vertices also covers every degree->=3 vertex, so
+    # max_trail stops at the first one: on K5 after 7 nodes (17 without the
+    # stop).  fig3 and fig4b above never reach full cover.
+    g = complete(5)
+    starved = max_trail(g, node_budget=6)
+    assert isinstance(starved, Unknown) and starved.budget_spent == 7
+    mt = max_trail(g, node_budget=7)
+    assert (mt.mt_star, mt.d3_star, mt.trail.edge_ids) == (5, 0, (0, 4, 1, 2, 5, 6))
 
 
 # --- dominating trails ------------------------------------------------------
