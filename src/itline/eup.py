@@ -30,11 +30,11 @@ from .graphcore import (
     InputError,
     MultiGraph,
     SubgraphH,
+    _component_masks,
     _flood,
     is_connected,
     mask_members,
     subgraph,
-    subgraph_components,
     subgraph_degrees,
 )
 from .structure import branches, cycle_component_edges
@@ -99,13 +99,13 @@ class ConditionReport:
 def _ball_masks(g: MultiGraph, radius: int) -> list[int]:
     """Bitmask of the vertices within ``radius`` of each vertex."""
     nbr = g.neighbor_masks
+    if radius == 1:  # the common case, k = 2, without a flood per vertex
+        return [m | 1 << v for v, m in enumerate(nbr)]
     return [_flood(nbr, 1 << v, radius=radius) for v in range(g.vertex_count)]
 
 
-def _proximity_ok(
-    g: MultiGraph, comps: tuple[frozenset[int], ...], k: int
-) -> tuple[bool, str]:
-    """Components must be mutually linkable through gaps of at most k-1.
+def _proximity_ok(g: MultiGraph, comps: list[int], k: int) -> tuple[bool, str]:
+    """Components (vertex masks) must be mutually linkable through gaps of at most k-1.
 
     Equivalent to: for every bipartition of the components, some cross pair
     is within distance k-1; checked as connectivity of the threshold graph.
@@ -117,24 +117,14 @@ def _proximity_ok(
         return True, ""
     threshold = k - 1
     nbr = g.neighbor_masks
-    owner = [0] * g.vertex_count
-    masks = []
-    for i, comp in enumerate(comps):
-        masks.append(sum(1 << v for v in comp))
-        for v in comp:
-            owner[v] = i
-    rest = sum(masks[1:])
-    todo = [masks[0]]
+    rest, todo = comps[1:], comps[:1]
     while todo and rest:
-        hit = _flood(nbr, todo.pop(), radius=threshold) & rest
-        while hit:
-            comp = masks[owner[hit.bit_length() - 1]]
-            hit &= ~comp
-            rest ^= comp
-            todo.append(comp)
+        hit = _flood(nbr, todo.pop(), radius=threshold)
+        todo += [c for c in rest if c & hit]
+        rest = [c for c in rest if not c & hit]
     if not rest:
         return True, ""
-    far = mask_members(rest)
+    far = mask_members(sum(rest))
     return False, f"components on vertices {far} are farther than {threshold} from the rest"
 
 
@@ -187,7 +177,7 @@ def _conditions(g: MultiGraph, h: SubgraphH, k: int, variant: str, blist) -> Con
     elif missing:
         coverage = Verdict(False, f"degree->=3 vertex {missing[0]} is not in H")
 
-    proximity = Verdict(*_proximity_ok(g, subgraph_components(g, h), k))
+    proximity = Verdict(*_proximity_ok(g, _component_masks(g, h), k))
 
     avoided = Verdict(True)
     pendant = Verdict(True)

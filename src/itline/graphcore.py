@@ -223,19 +223,19 @@ def _flood(nbr: Sequence[int], seed: int, within: int = -1, radius: int | None =
     return reach
 
 
-def _split(nbr: Sequence[int], rest: int) -> tuple[frozenset[int], ...]:
-    """The classes of the vertex set ``rest`` under ``nbr``, by smallest member."""
+def _split(nbr: Sequence[int], rest: int) -> list[int]:
+    """The classes of the vertex set ``rest`` under ``nbr`` as masks, by smallest member."""
     comps = []
     while rest:
-        comp = _flood(nbr, rest & -rest, rest)
-        rest ^= comp
-        comps.append(frozenset(mask_members(comp)))
-    return tuple(comps)
+        comps.append(_flood(nbr, rest & -rest, rest))
+        rest ^= comps[-1]
+    return comps
 
 
 def connected_components(g: MultiGraph) -> tuple[frozenset[int], ...]:
     """Vertex sets of the connected components, ordered by smallest member."""
-    return _split(g.neighbor_masks, (1 << g.vertex_count) - 1)
+    comps = _split(g.neighbor_masks, (1 << g.vertex_count) - 1)
+    return tuple(frozenset(mask_members(c)) for c in comps)
 
 
 def is_connected(g: MultiGraph) -> bool:
@@ -252,7 +252,7 @@ def bridges(g: MultiGraph) -> frozenset[int]:
     It walks edge ids, which the vertex masks of :func:`_flood` cannot tell
     apart.
     """
-    n, inc, edges = g.vertex_count, g.incidence, g.edges
+    n, inc, ends = g.vertex_count, g.incidence, g.ends
     disc = [-1] * n
     low = [0] * n
     found: set[int] = set()
@@ -268,8 +268,7 @@ def bridges(g: MultiGraph) -> frozenset[int]:
             for eid in steps:
                 if eid == via:
                     continue
-                a, b = edges[eid]
-                w = b if a == v else a
+                w = ends[eid] ^ v
                 if disc[w] < 0:
                     disc[w] = low[w] = clock
                     clock += 1
@@ -359,6 +358,11 @@ def incident_edges(g: MultiGraph, h: SubgraphH) -> frozenset[int]:
 
 def subgraph_components(g: MultiGraph, h: SubgraphH) -> tuple[frozenset[int], ...]:
     """Connected components of the subgraph; each extra vertex is its own component."""
+    return tuple(frozenset(mask_members(c)) for c in _component_masks(g, h))
+
+
+def _component_masks(g: MultiGraph, h: SubgraphH) -> list[int]:
+    """The components of :func:`subgraph_components` as vertex masks."""
     nbr = [0] * g.vertex_count
     verts = 0
     for v in h.extra_vertices:

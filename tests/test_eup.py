@@ -224,8 +224,11 @@ def test_ball_mask_proximity_matches_distance_table(g, data):
                 mask |= 1 << (u ^ v ^ x)
         return mask
 
+    n = g.vertex_count
     for k in (1, 2, 3, 4):
-        links = _ball_masks(g, k - 1) if k > 1 else [hops(x) for x in range(g.vertex_count)]
+        links = _ball_masks(g, k - 1) if k > 1 else [hops(x) for x in range(n)]
+        if k > 1:  # each ball is exactly the vertices within k-1
+            assert links == [sum(1 << w for w in range(n) if dist[v][w] < k) for v in range(n)]
         want, _ = proximity_by_distances(comps, dist, k)
         got = not need or _flood(links, need & -need, need) == need
         assert got == want
