@@ -1,4 +1,4 @@
-"""Loopless undirected multigraphs with stable edge ids, plus subgraph and trail views.
+"""Loopless undirected multigraphs with stable edge ids, subgraph and trail views, and canonical codes.
 
 Vertices are the integers ``0..n-1``.  An edge is an unordered endpoint pair
 identified by its position in the edge list, so parallel edges are distinct
@@ -9,8 +9,10 @@ immutable after construction; the operations are pure functions.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import permutations, product
 from typing import Iterable, Sequence
 
 
@@ -93,6 +95,17 @@ class MultiGraph:
         """True iff the graph has a vertex and a single component."""
         everyone = (1 << self.vertex_count) - 1
         return everyone > 0 and _flood(self.neighbor_masks, 1, everyone) == everyone
+
+    @cached_property
+    def canonical_code(self) -> tuple[int, int]:
+        """``(base, code)``, equal exactly for isomorphic graphs: see :func:`_canonical_code`.
+
+        ``base`` is one more than the largest edge multiplicity, so 2 for a
+        simple graph, whose code is then its canonical adjacency bitmask.
+        """
+        pairs = [(u, v) if u < v else (v, u) for u, v in self.edges]
+        base = 1 + max(Counter(pairs).values(), default=1)
+        return base, _canonical_code(self.vertex_count, pairs, base)
 
     def check_vertex(self, v: int) -> None:
         if not (0 <= v < self.vertex_count):
@@ -602,6 +615,73 @@ def to_graph6(g: MultiGraph) -> str:
 
 #: _REVERSED_6[x] is the 6-bit value x with its bits in reverse order.
 _REVERSED_6 = [int(f"{x:06b}"[::-1], 2) for x in range(64)]
+
+
+# ---------------------------------------------------------------------------
+# Canonical forms
+
+
+def _refine_colors(n: int, nbrs: list[list[int]]) -> list:
+    """Iterative neighborhood refinement; signatures are isomorphism-invariant.
+
+    ``nbrs[v]`` lists a neighbor once per edge, so parallel edges count.
+    Each round's signatures are replaced by their ranks among that round's
+    distinct signatures: ranks keep the order, and the next round's tuples
+    stay flat instead of nesting every earlier round.
+    """
+    sig: list = [(len(nbrs[v]),) for v in range(n)]
+    while True:
+        nxt = [(sig[v], tuple(sorted(sig[w] for w in nbrs[v]))) for v in range(n)]
+        distinct = sorted(set(nxt))
+        if len(distinct) == len(set(sig)):
+            return sig
+        rank = {s: r for r, s in enumerate(distinct)}
+        sig = [rank[s] for s in nxt]
+
+
+def _canonical_code(n: int, pairs: list[tuple[int, int]], base: int) -> int:
+    """Least edge code over the vertex orderings that sort the refinement signatures.
+
+    An edge on the vertex pair with upper-triangle index i adds base**i to the
+    code, where base must exceed every pair's multiplicity, so for a simple
+    graph (base 2) the code is the adjacency bitmask.  Restricting to
+    signature-respecting orderings keeps the candidate set tiny without
+    losing exactness, because the minimum is still realized by an actual
+    relabeling of the graph.
+    """
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in pairs:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    sig = _refine_colors(n, nbrs)
+    groups: dict = {}
+    for v in range(n):
+        groups.setdefault(sig[v], []).append(v)
+    ordered_groups = [groups[s] for s in sorted(groups)]
+    offsets = []
+    pos = 0
+    for grp in ordered_groups:
+        offsets.append(pos)
+        pos += len(grp)
+    weight = [[0] * n for _ in range(n)]
+    idx = 0
+    for j in range(1, n):
+        for i in range(j):
+            weight[i][j] = weight[j][i] = base**idx
+            idx += 1
+    best = None
+    perm = [0] * n
+    for arrangement in product(*(permutations(grp) for grp in ordered_groups)):
+        for grp_pos, grp in enumerate(arrangement):
+            off = offsets[grp_pos]
+            for i, v in enumerate(grp):
+                perm[v] = off + i
+        code = 0
+        for u, v in pairs:
+            code += weight[perm[u]][perm[v]]
+        if best is None or code < best:
+            best = code
+    return best if best is not None else 0
 
 
 def graph6_from_mask(n: int, mask: int) -> str:

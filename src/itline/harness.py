@@ -12,13 +12,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations, permutations, product
+from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
-from .budget import Unknown
+from .budget import Unknown, default_node_budget
 from .eup import (
     VARIANT_EU,
     VARIANT_EUP,
@@ -30,6 +29,7 @@ from .families import fig2, fig3, fig4b
 from .graphcore import (
     InputError,
     MultiGraph,
+    _canonical_code,
     bfs_distances,
     graph6_from_mask,
 )
@@ -60,69 +60,6 @@ CROSS_CHECK_MAX_VERTICES = 20
 # Canonical forms and enumeration
 
 
-def _refine_colors(n: int, nbrs: list[list[int]]) -> list:
-    """Iterative neighborhood refinement; signatures are isomorphism-invariant.
-
-    ``nbrs[v]`` lists a neighbor once per edge, so parallel edges count.
-    Each round's signatures are replaced by their ranks among that round's
-    distinct signatures: ranks keep the order, and the next round's tuples
-    stay flat instead of nesting every earlier round.
-    """
-    sig: list = [(len(nbrs[v]),) for v in range(n)]
-    while True:
-        nxt = [(sig[v], tuple(sorted(sig[w] for w in nbrs[v]))) for v in range(n)]
-        distinct = sorted(set(nxt))
-        if len(distinct) == len(set(sig)):
-            return sig
-        rank = {s: r for r, s in enumerate(distinct)}
-        sig = [rank[s] for s in nxt]
-
-
-def _canonical_code(n: int, pairs: list[tuple[int, int]], base: int) -> int:
-    """Least edge code over the vertex orderings that sort the refinement signatures.
-
-    An edge on the vertex pair with upper-triangle index i adds base**i to the
-    code, where base must exceed every pair's multiplicity, so for a simple
-    graph (base 2) the code is the adjacency bitmask.  Restricting to
-    signature-respecting orderings keeps the candidate set tiny without
-    losing exactness, because the minimum is still realized by an actual
-    relabeling of the graph.
-    """
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in pairs:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    sig = _refine_colors(n, nbrs)
-    groups: dict = {}
-    for v in range(n):
-        groups.setdefault(sig[v], []).append(v)
-    ordered_groups = [groups[s] for s in sorted(groups)]
-    offsets = []
-    pos = 0
-    for grp in ordered_groups:
-        offsets.append(pos)
-        pos += len(grp)
-    weight = [[0] * n for _ in range(n)]
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            weight[i][j] = weight[j][i] = base**idx
-            idx += 1
-    best = None
-    perm = [0] * n
-    for arrangement in product(*(permutations(grp) for grp in ordered_groups)):
-        for grp_pos, grp in enumerate(arrangement):
-            off = offsets[grp_pos]
-            for i, v in enumerate(grp):
-                perm[v] = off + i
-        code = 0
-        for u, v in pairs:
-            code += weight[perm[u]][perm[v]]
-        if best is None or code < best:
-            best = code
-    return best if best is not None else 0
-
-
 def canonical_key(g: MultiGraph) -> tuple[int, int]:
     """Canonical (n, adjacency-bitmask) for a simple graph."""
     pairs = [tuple(sorted(e)) for e in g.edges]
@@ -132,6 +69,12 @@ def canonical_key(g: MultiGraph) -> tuple[int, int]:
 
 
 def graph_from_key(key: tuple[int, int]) -> MultiGraph:
+    """The canonical form of a key returned by :func:`canonical_key`.
+
+    Its canonical code is seeded with the key's own mask: the identity
+    ordering of a canonical form sorts its refinement signatures, so that
+    mask is already its least code.
+    """
     n, mask = key
     edges = []
     idx = 0
@@ -140,18 +83,23 @@ def graph_from_key(key: tuple[int, int]) -> MultiGraph:
             if mask >> idx & 1:
                 edges.append((i, j))
             idx += 1
-    return MultiGraph(n, tuple(edges))
+    g = MultiGraph(n, tuple(edges))
+    vars(g)["canonical_code"] = (2, mask)  # where the cached_property keeps it
+    return g
 
 
 def graph_id(g: MultiGraph) -> str:
     """Isomorphism-invariant identifier: graph6 of the canonical form when
-    simple, a digest of the canonical edge code for a multigraph."""
-    pairs = [tuple(sorted(e)) for e in g.edges]
-    if len(set(pairs)) == len(pairs):
+    simple, a digest of the canonical edge code for a multigraph.
+
+    The code is ``g.canonical_code``, computed once per graph object and
+    cached on it; graphs from :func:`graph_from_key` (the enumerated
+    corpora) arrive with it seeded.
+    """
+    base, code = g.canonical_code
+    if base == 2:
         # The simple code is the canonical adjacency bitmask, in graph6's bit order.
-        return graph6_from_mask(g.vertex_count, _canonical_code(g.vertex_count, pairs, 2))
-    base = 1 + max(Counter(pairs).values())
-    code = _canonical_code(g.vertex_count, pairs, base)
+        return graph6_from_mask(g.vertex_count, code)
     import hashlib  # on first use: it maps OpenSSL, ~4 MB of resident memory
 
     digest = hashlib.sha256(f"{base} {code}".encode()).hexdigest()[:10]
@@ -196,7 +144,7 @@ def enumerate_connected_graphs(
             f"labeled enumeration supports up to {ENUMERATION_VERTEX_LIMIT} vertices, got {n}"
         )
     if n == 1:
-        yield MultiGraph(1, ())
+        yield graph_from_key((1, 0))
         return
     all_pairs = list(combinations(range(n), 2))
     top = len(all_pairs) if max_edges is None else min(max_edges, len(all_pairs))
@@ -393,8 +341,9 @@ def iterated_traceable_truth(
 def _main_record(
     g: MultiGraph,
     n: int,
-    node_budget: int | None,
+    node_budget: int,
     time_limit: float | None,
+    cross_budget: int,
 ) -> dict:
     rec: dict = {"graph": graph_id(g), "n_vertices": g.vertex_count, "m_edges": g.edge_count}
     unknown = None
@@ -408,18 +357,19 @@ def _main_record(
     truth, route, truth_unknown = _traceable_truth(base, node_budget, time_limit)
     rec["iterated_traceable"] = truth
     rec["truth_route"] = route
-    if truth_unknown is not None:
-        unknown = unknown or truth_unknown
+    if unknown is None:
+        unknown = truth_unknown
     # Opportunistic direct cross-check of a dominating-trail truth, on
     # L^n(G) = L(base) when it has few enough vertices (one per edge of
-    # base).  A direct-oracle truth already is that check.
+    # base).  A direct-oracle truth already is that check.  It always runs
+    # on the default budget, ``cross_budget``, whatever ``node_budget`` is.
     rec["cross_check"] = "skipped"
     if (
         route == "dominating-trail"
         and truth is not None
         and base.edge_count <= CROSS_CHECK_MAX_VERTICES
     ):
-        direct = has_hamiltonian_path(line_graph(base).graph)
+        direct = has_hamiltonian_path(line_graph(base).graph, node_budget=cross_budget)
         if not isinstance(direct, Unknown):
             rec["cross_check"] = "agree" if direct.value == truth else "conflict"
     if unknown is not None:
@@ -443,7 +393,9 @@ def verify_theorem_main(
     The equivalence holds for connected graphs with at least three edges and
     n >= 2; running with n = 1 demonstrates where it breaks down.
     """
-    fn = partial(_main_record, n=n, node_budget=node_budget, time_limit=time_limit)
+    default = default_node_budget()
+    fn = partial(_main_record, n=n, node_budget=default if node_budget is None else node_budget,
+                 time_limit=time_limit, cross_budget=default)
     records = _map_records(fn, corpus, workers)
     return CampaignReport("main", {"n": n}, records).finalize()
 
@@ -462,7 +414,7 @@ def _induction_record(
     else:
         rec["line_graph_witness"] = lhs is not None
     if isinstance(rhs, Unknown):
-        unknown = unknown or rhs
+        unknown = rhs if unknown is None else unknown
         rec["base_graph_witness"] = None
     else:
         rec["base_graph_witness"] = rhs is not None
@@ -488,6 +440,7 @@ def verify_theorem_induction(
     graphs degenerate to a point, where the coverage condition can never be
     met even though the 1-edge graph itself still has witnesses.
     """
+    node_budget = default_node_budget() if node_budget is None else node_budget
     corpus = list(corpus)
     eligible = [g for g in corpus if g.edge_count >= 2]
     skipped = [g for g in corpus if g.edge_count < 2]
@@ -525,7 +478,7 @@ def _bounds_record(
     try:
         h = hamiltonian_index(g, node_budget=node_budget, time_limit=time_limit)
         if isinstance(h, Unknown):
-            unknown = unknown or h
+            unknown = h if unknown is None else unknown
             rec["h"] = None
         else:
             rec["h"] = h.value
@@ -559,6 +512,7 @@ def run_bounds_campaign(
     workers: int = 1,
 ) -> CampaignReport:
     """Exact indices vs every upper bound on every corpus graph."""
+    node_budget = default_node_budget() if node_budget is None else node_budget
     fn = partial(_bounds_record, node_budget=node_budget, time_limit=time_limit)
     records = _map_records(fn, corpus, workers)
     return CampaignReport("bounds", {}, records).finalize()
@@ -584,10 +538,10 @@ def _equivalence_record(
             g, closed=closed, node_budget=node_budget, time_limit=time_limit
         )
         if isinstance(direct, Unknown):
-            unknown = unknown or direct
+            unknown = direct if unknown is None else unknown
             results[label] = None
         elif isinstance(trail, Unknown):
-            unknown = unknown or trail
+            unknown = trail if unknown is None else unknown
             results[label] = None
         else:
             rec[f"line_graph_{label}"] = direct.value
@@ -609,6 +563,7 @@ def run_equivalence_campaign(
     workers: int = 1,
 ) -> CampaignReport:
     """Line-graph hamiltonicity oracles vs dominating-trail search on the base graph."""
+    node_budget = default_node_budget() if node_budget is None else node_budget
     fn = partial(_equivalence_record, node_budget=node_budget, time_limit=time_limit)
     records = _map_records(fn, corpus, workers)
     return CampaignReport("equivalence", {}, records).finalize()
@@ -662,6 +617,7 @@ def run_family_suite(
     time_limit: float | None = None,
 ) -> CampaignReport:
     """Check the published sharpness statistics of the named families."""
+    node_budget = default_node_budget() if node_budget is None else node_budget
     records: list[dict] = []
 
     def claim(family: str, name: str, expected, actual) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .budget import Unknown
+from .budget import Unknown, default_node_budget
 from .eup import VARIANT_EU, VARIANT_EUP, find_witness
 from .graphcore import (
     DisconnectedGraphError,
@@ -80,6 +80,7 @@ def _index(
     """
     if not is_connected(g):
         raise DisconnectedGraphError(f"{name} requires a connected graph")
+    node_budget = default_node_budget() if node_budget is None else node_budget
     answer = oracle(g, node_budget=node_budget, time_limit=time_limit)
     if isinstance(answer, Unknown):
         return Unknown(name, answer.budget_spent, answer.detail)

@@ -1,6 +1,7 @@
 """Enumeration, canonical dedup, campaign records, and report plumbing."""
 
 import json
+import pickle
 import random
 
 import pytest
@@ -29,6 +30,13 @@ from itline.linegraph import line_graph
 
 from .conftest import simple_graphs
 from .oracles import is_isomorphic
+
+
+def _relabeled(g: MultiGraph, rng: random.Random) -> MultiGraph:
+    """An isomorphic copy under a random vertex permutation, with no cached code."""
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    return MultiGraph(g.vertex_count, tuple((perm[u], perm[v]) for u, v in g.edges))
 
 
 def test_enumeration_counts_small():
@@ -88,11 +96,7 @@ def test_pairwise_niso_via_canonical_key(corpus5):
 
 @given(simple_graphs(max_vertices=6), st.randoms(use_true_random=False))
 def test_canonical_key_invariant_under_relabeling(g, rng):
-    n = g.vertex_count
-    perm = list(range(n))
-    rng.shuffle(perm)
-    relabeled = MultiGraph(n, tuple((perm[u], perm[v]) for u, v in g.edges))
-    assert canonical_key(relabeled) == canonical_key(g)
+    assert canonical_key(_relabeled(g, rng)) == canonical_key(g)
     assert is_isomorphic(graph_from_key(canonical_key(g)), g)
 
 
@@ -130,10 +134,7 @@ def test_graph_id_is_graph6_of_the_canonical_form(corpus6):
     for g in corpus6:
         want = to_graph6(graph_from_key(canonical_key(g)))
         for _ in range(3):
-            perm = list(range(g.vertex_count))
-            rng.shuffle(perm)
-            relabeled = MultiGraph(g.vertex_count, tuple((perm[u], perm[v]) for u, v in g.edges))
-            assert graph_id(relabeled) == want
+            assert graph_id(_relabeled(g, rng)) == want
 
 
 def test_graph_id_is_isomorphism_invariant_for_multigraphs():
@@ -154,6 +155,33 @@ def test_graph_id_of_long_asymmetric_tree():
     relabeled = MultiGraph(41, tuple((40 - u, 40 - v) for u, v in reversed(tree.edges)))
     assert graph_id(tree) == graph_id(relabeled)
     assert graph_id(tree) != graph_id(MultiGraph(41, path(40).edges + ((3, 40),)))
+
+
+def test_seeded_canonical_code_matches_computed(corpus6, corpus_edges7):
+    # graph_from_key seeds each enumerated graph's code with its key's mask;
+    # an unseeded copy computes the code by refinement and minimization.
+    graphs = [*corpus6, *corpus_edges7]
+    for n in range(1, 11):
+        graphs += enumerate_trees(n)
+    for g in graphs:
+        assert "canonical_code" in vars(g)
+        copy = MultiGraph(g.vertex_count, g.edges)
+        assert "canonical_code" not in vars(copy)
+        assert copy.canonical_code == g.canonical_code
+
+
+def test_canonical_code_cache_keeps_graph_identity(corpus5):
+    multi = MultiGraph(4, ((0, 1), (1, 0), (1, 2), (2, 3), (3, 1)))
+    for g in (*corpus5, multi):
+        first = graph_id(g)
+        assert graph_id(g) == first
+        copy = MultiGraph(g.vertex_count, g.edges)
+        assert copy == g and hash(copy) == hash(g)
+        assert graph_id(copy) == first
+        # Pooled campaigns pickle their graphs, cached code included.
+        loaded = pickle.loads(pickle.dumps(g))
+        assert vars(loaded)["canonical_code"] == g.canonical_code
+        assert graph_id(loaded) == first
 
 
 # --- campaigns ----------------------------------------------------------------
@@ -277,6 +305,24 @@ def test_campaign_unknowns_name_operation_and_budget(corpus5):
         assert rec["graph"]
 
 
+def test_records_with_two_unknowns_report_the_first(corpus5):
+    # At budget 3 most records run out in more than one search; each still
+    # gets a record, which names the first search that ran out.
+    corpus = [g for g in corpus5 if g.edge_count >= 3]
+    first = {"main": {"find_witness"}, "induction": {"find_witness"},
+             "equivalence": {"has_hamiltonian_path", "find_dominating_trail"},
+             "bounds": {"hamiltonian_path_index", "hamiltonian_index"}}
+    for report in (
+        verify_theorem_main(corpus, 2, node_budget=3),
+        verify_theorem_induction(corpus, 2, node_budget=3),
+        run_equivalence_campaign(corpus, node_budget=3),
+        run_bounds_campaign(corpus, node_budget=3),
+    ):
+        assert report.unknowns > 0 and report.mismatches == 0
+        ops = {r["unknown"]["operation"] for r in report.records if "unknown" in r}
+        assert ops <= first[report.name]
+
+
 def test_budget_env_override(monkeypatch):
     from itline.budget import default_node_budget
 
@@ -287,3 +333,51 @@ def test_budget_env_override(monkeypatch):
         default_node_budget()
     monkeypatch.delenv("ITLINE_BUDGET")
     assert default_node_budget() > 0
+
+
+def test_reports_ignore_vertex_labels(corpus5):
+    rng = random.Random(5)
+    relabeled = [_relabeled(g, rng) for g in corpus5]
+    campaigns = (
+        lambda c: verify_theorem_main([g for g in c if g.edge_count >= 3], 2),
+        lambda c: run_equivalence_campaign([g for g in c if g.edge_count >= 3]),
+        run_bounds_campaign,
+    )
+    for campaign in campaigns:
+        assert campaign(relabeled).json_lines() == campaign(corpus5).json_lines()
+
+
+def test_budget_env_is_read_once_per_campaign_and_index(monkeypatch, corpus5):
+    import itline.budget
+    import itline.harness
+    import itline.indices
+    from itline.indices import hamiltonian_path_index
+
+    reads = []
+    real = itline.budget.default_node_budget
+
+    def counted() -> int:
+        reads.append(1)
+        return real()
+
+    for module in (itline.budget, itline.harness, itline.indices):
+        monkeypatch.setattr(module, "default_node_budget", counted)
+    corpus = [g for g in corpus5 if g.edge_count >= 3][:6]
+    for campaign in (
+        lambda: verify_theorem_main(corpus, 2),
+        lambda: verify_theorem_induction(corpus, 2),
+        lambda: run_equivalence_campaign(corpus),
+        lambda: run_bounds_campaign(corpus),
+        run_family_suite,
+        lambda: hamiltonian_path_index(fig2(2)),  # oracle, trail and witness searches
+    ):
+        reads.clear()
+        campaign()
+        assert len(reads) == 1
+    # Read once, at the campaign's start, the variable still sets every
+    # search's budget.
+    monkeypatch.setenv("ITLINE_BUDGET", "3")
+    report = verify_theorem_main(corpus, 2)
+    assert report.unknowns == len(corpus) and report.mismatches == 0
+    bounds = run_bounds_campaign(corpus).json_lines()
+    assert bounds == run_bounds_campaign(corpus, node_budget=3).json_lines()
