@@ -69,12 +69,6 @@ def canonical_key(g: MultiGraph) -> tuple[int, int]:
 
 
 def graph_from_key(key: tuple[int, int]) -> MultiGraph:
-    """The canonical form of a key returned by :func:`canonical_key`.
-
-    Its canonical code is seeded with the key's own mask: the identity
-    ordering of a canonical form sorts its refinement signatures, so that
-    mask is already its least code.
-    """
     n, mask = key
     edges = []
     idx = 0
@@ -83,9 +77,7 @@ def graph_from_key(key: tuple[int, int]) -> MultiGraph:
             if mask >> idx & 1:
                 edges.append((i, j))
             idx += 1
-    g = MultiGraph(n, tuple(edges))
-    vars(g)["canonical_code"] = (2, mask)  # where the cached_property keeps it
-    return g
+    return MultiGraph(n, tuple(edges))
 
 
 def graph_id(g: MultiGraph) -> str:
@@ -93,8 +85,7 @@ def graph_id(g: MultiGraph) -> str:
     simple, a digest of the canonical edge code for a multigraph.
 
     The code is ``g.canonical_code``, computed once per graph object and
-    cached on it; graphs from :func:`graph_from_key` (the enumerated
-    corpora) arrive with it seeded.
+    cached on it, so campaigns that share a graph compute its id once.
     """
     base, code = g.canonical_code
     if base == 2:
@@ -144,7 +135,7 @@ def enumerate_connected_graphs(
             f"labeled enumeration supports up to {ENUMERATION_VERTEX_LIMIT} vertices, got {n}"
         )
     if n == 1:
-        yield graph_from_key((1, 0))
+        yield MultiGraph(1, ())
         return
     all_pairs = list(combinations(range(n), 2))
     top = len(all_pairs) if max_edges is None else min(max_edges, len(all_pairs))

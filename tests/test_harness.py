@@ -157,19 +157,6 @@ def test_graph_id_of_long_asymmetric_tree():
     assert graph_id(tree) != graph_id(MultiGraph(41, path(40).edges + ((3, 40),)))
 
 
-def test_seeded_canonical_code_matches_computed(corpus6, corpus_edges7):
-    # graph_from_key seeds each enumerated graph's code with its key's mask;
-    # an unseeded copy computes the code by refinement and minimization.
-    graphs = [*corpus6, *corpus_edges7]
-    for n in range(1, 11):
-        graphs += enumerate_trees(n)
-    for g in graphs:
-        assert "canonical_code" in vars(g)
-        copy = MultiGraph(g.vertex_count, g.edges)
-        assert "canonical_code" not in vars(copy)
-        assert copy.canonical_code == g.canonical_code
-
-
 def test_canonical_code_cache_keeps_graph_identity(corpus5):
     multi = MultiGraph(4, ((0, 1), (1, 0), (1, 2), (2, 3), (3, 1)))
     for g in (*corpus5, multi):
