@@ -16,6 +16,12 @@ EUP_k(G) relaxes parity to "at most two odd vertices" and restricts the
 pendant-branch condition to branches edge-disjoint from H.  Nonemptiness of
 these families characterizes hamiltonicity / traceability of the k-th
 iterated line graph for k >= 2.
+
+The witness search prunes by parity, avoided branches and a proximity
+lookahead (see :func:`find_witness`).  Before it expands a node, a pendant
+parity certificate settles graphs with more pendant branches of over k
+edges than the parity budget allows: each such branch fails EU, and under
+EUP must meet H, which leaves an odd vertex of H inside it.
 """
 
 from __future__ import annotations
@@ -264,13 +270,14 @@ def find_witness(
     edges = g.edges
     blist = branches(g)
 
-    if variant == VARIANT_EU:
-        # The pendant condition for EU ignores H entirely, so it is decided
-        # up front for the whole graph.
-        for b in blist:
-            if b.touches_degree_one and b.length > k:
-                return None
+    # A pendant branch of more than k edges fails EU outright, since EU's
+    # pendant condition ignores H, and for EUP it must meet H.  The H-edge
+    # nearest its degree-1 end then leaves an odd vertex of H inside it, so
+    # more such branches than the parity budget (0 for EU, 2 for EUP) leave
+    # no witness, decided up front for the whole graph.
     odd_budget = 0 if variant == VARIANT_EU else 2
+    if sum(b.touches_degree_one and b.length > k for b in blist) > odd_budget:
+        return None
 
     # Branches that fail when avoided are decided first, then longer ones.
     # A pendant one fails past k edges (for EU none is left, see above).

@@ -32,6 +32,7 @@ from .graphcore import (
     _canonical_code,
     bfs_distances,
     graph6_from_mask,
+    mask_members,
 )
 from .hamilton import has_hamiltonian_cycle, has_hamiltonian_path
 from .indices import (
@@ -574,9 +575,10 @@ def two_longest_branch_candidate(g: MultiGraph):
     blist = branches(g)
     if len(blist) < 2:
         raise InputError("recipe needs at least two branches")
+    inc, ends, nbr = g.incidence, g.ends, g.neighbor_masks
 
     def low_count(b) -> int:
-        return sum(1 for v in set(b.vertices) if g.degree(v) <= 2)
+        return sum(1 for v in set(b.vertices) if len(inc[v]) <= 2)
 
     ranked = sorted(enumerate(blist), key=lambda ib: (-low_count(ib[1]), ib[0]))
     b1, b2 = ranked[0][1], ranked[1][1]
@@ -591,12 +593,8 @@ def two_longest_branch_candidate(g: MultiGraph):
         dist = dist_maps[src]
         cur = dst
         while cur != src:
-            step = min(
-                (w for w in g.distinct_neighbors(cur) if dist[w] == dist[cur] - 1),
-            )
-            eid = next(
-                e for e in g.incidence[cur] if set(g.endpoints(e)) == {cur, step}
-            )
+            step = min(w for w in mask_members(nbr[cur]) if dist[w] == dist[cur] - 1)
+            eid = next(e for e in inc[cur] if ends[e] ^ cur == step)
             edge_ids.add(eid)
             cur = step
     return canonical_candidate(g, edge_ids)

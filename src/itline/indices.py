@@ -5,11 +5,19 @@ level 1 reduces to dominating-(closed-)trail search, and levels >= 2 walk the
 witness families upward (EUP for the path index, EU for the cycle index).
 Level 1 is handled by the trail reductions and never by a k=1 witness query,
 because the witness characterizations only start at k = 2.
+
+Empty levels are settled by structure where it suffices, before any search:
+level 1 by the bridge-tree certificate
+(:func:`~itline.structure.bridge_tree_rules_out_trail`), and EUP levels by
+the pendant parity certificate inside
+:func:`~itline.eup.find_witness`.  Both are exact, so every index value,
+method and witness is the one the searches alone would give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import count
 from typing import Callable
 
 from .budget import Unknown, default_node_budget
@@ -26,7 +34,12 @@ from .graphcore import (
 )
 from .hamilton import OracleAnswer, has_hamiltonian_cycle, has_hamiltonian_path
 from .linegraph import CapExceededError, EdgelessGraphError, iterated_line_graph
-from .structure import branches, find_dominating_trail, max_trail
+from .structure import (
+    branches,
+    bridge_tree_rules_out_trail,
+    find_dominating_trail,
+    max_trail,
+)
 
 
 class PathHasNoIndexError(GraphError):
@@ -77,6 +90,10 @@ def _index(
 ) -> IndexResult | Unknown:
     """Level 0 from ``oracle``, level 1 from a dominating (closed) trail, then
     the ``variant`` witness levels 2..``stop(g)``, which must settle the index.
+
+    Level 1 is searched only when the bridge-tree certificate does not rule
+    it out, and ``stop(g)`` is computed only once a witness level comes up
+    empty, since most graphs settle at level 2.
     """
     if not is_connected(g):
         raise DisconnectedGraphError(f"{name} requires a connected graph")
@@ -93,14 +110,16 @@ def _index(
         # Connected graphs with fewer than three edges are all traceable,
         # and hamiltonian unless they are paths.
         raise GraphError(f"internal: small graph without a level-0 {kind} answer")
-    trail = find_dominating_trail(
-        g, closed=closed, node_budget=node_budget, time_limit=time_limit
-    )
-    if isinstance(trail, Unknown):
-        return Unknown(name, trail.budget_spent, trail.detail)
-    if trail is not None:
-        return IndexResult(1, "dominating-trail", kind, trail)
-    for k in range(2, stop(g) + 1):
+    if not bridge_tree_rules_out_trail(g, closed):
+        trail = find_dominating_trail(
+            g, closed=closed, node_budget=node_budget, time_limit=time_limit
+        )
+        if isinstance(trail, Unknown):
+            return Unknown(name, trail.budget_spent, trail.detail)
+        if trail is not None:
+            return IndexResult(1, "dominating-trail", kind, trail)
+    last = None
+    for k in count(2):
         witness = find_witness(
             g, k, variant, node_budget=node_budget, time_limit=time_limit
         )
@@ -112,7 +131,10 @@ def _index(
             )
         if witness is not None:
             return IndexResult(k, f"{variant.upper()}-witness", kind, witness)
-    raise GraphError("internal: no witness found up to the guaranteed stopping bound")
+        if last is None:
+            last = stop(g)
+        if k >= last:
+            raise GraphError("internal: no witness found up to the guaranteed stopping bound")
 
 
 def _cycle_index_stop(g: MultiGraph) -> int:

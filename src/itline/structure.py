@@ -22,10 +22,19 @@ prunes keep the walk small, each exact by a one-line fact:
   edge-disjoint union of cycles, and no cycle uses a bridge.
 * A vertex set dominates iff the vertices outside it are independent, which
   is tested on neighbour bitmasks, one per vertex outside, not per edge.
+
+A certificate settles some empty searches with no walk at all:
+:func:`bridge_tree_rules_out_trail` reads from one bridge pass that a
+dominating trail would have to cross a bridge that it cannot (closed) or
+take three branches of the bridge tree at one piece (open).  The trail
+search itself does not consult it, since on the common graph with a
+dominating trail the pass would only add cost; the index driver asks it
+first.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -35,6 +44,7 @@ from .graphcore import (
     InputError,
     MultiGraph,
     Trail,
+    _flood,
     _unchecked,
     bridges,
     is_connected,
@@ -366,6 +376,38 @@ def max_trail(
 
     trail = _unchecked(Trail, best_vs, best_es, best_vs[0] == best_vs[-1])
     return MaxTrailResult(trail, best_count, v3_mask.bit_count() - best_cov)
+
+
+def bridge_tree_rules_out_trail(g: MultiGraph, closed: bool) -> bool:
+    """True when G's bridges alone show that no dominating (closed) trail exists.
+
+    Call a bridge *inner* when both its ends have degree >= 2.  A vertex set
+    on one side of an inner bridge misses the other end's other edges, so a
+    dominating trail has vertices on both sides and crosses it.  A closed
+    trail crosses no bridge, so any inner bridge rules it out.  An open
+    trail crosses each bridge at most once, so the 2-edge-connected pieces
+    it touches lie on one path of the bridge tree, which meets each piece
+    by at most two of its bridges; so a piece that meets three or more
+    inner bridges rules it out.  False says nothing: the trail search
+    decides.  One :func:`bridges` pass; with three or more inner bridges,
+    also a flood of the piece at each of their ends.
+    """
+    inc, edges = g.incidence, g.edges
+    cut = bridges(g)
+    inner = [edges[eid] for eid in cut if all(len(inc[x]) >= 2 for x in edges[eid])]
+    if closed:
+        return bool(inner)
+    if len(inner) < 3:
+        return False
+    # The pieces are the components left once the bridges are cut; a bridge
+    # is the only edge between its ends.
+    nbr = list(g.neighbor_masks)
+    for eid in cut:
+        u, v = edges[eid]
+        nbr[u] ^= 1 << v
+        nbr[v] ^= 1 << u
+    met = Counter(_flood(nbr, 1 << x) for ends in inner for x in ends)
+    return max(met.values()) >= 3
 
 
 def dominates(g: MultiGraph, vertices: Iterable[int]) -> bool:

@@ -114,3 +114,42 @@ def attached_cycle_graphs(draw, max_edges: int = 12):
         n += inner
         edges.extend(zip(chain, chain[1:]))
     return MultiGraph(n, tuple(draw(st.permutations(edges))))
+
+
+def _hang_legs(n: int, edges: list[tuple[int, int]], at: int, legs) -> int:
+    """Hang paths of the given edge counts at vertex ``at``, numbering new
+    vertices from ``n``; returns the new vertex count."""
+    for length in legs:
+        prev = at
+        for _ in range(length):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+    return n
+
+
+@st.composite
+def spiders(draw, max_edges: int = 9):
+    """A centre with three or four legs of 2-3 edges (three when four do not
+    fit in ``max_edges``) and up to two single-edge legs."""
+    legs = draw(st.lists(st.integers(min_value=2, max_value=3), min_size=3, max_size=4))
+    if sum(legs) > max_edges:
+        legs = legs[:3]
+    legs += [1] * draw(st.integers(min_value=0, max_value=min(2, max_edges - sum(legs))))
+    edges: list[tuple[int, int]] = []
+    return MultiGraph(_hang_legs(1, edges, 0, legs), tuple(edges))
+
+
+@st.composite
+def brooms(draw):
+    """A handle of 2-4 edges with one or two legs of 2-3 edges at one end and
+    up to two legs of 1-3 edges at the other; the tip of the last leg may be
+    closed into a triangle."""
+    edges: list[tuple[int, int]] = []
+    n = _hang_legs(1, edges, 0, [draw(st.integers(min_value=2, max_value=4))])
+    n = _hang_legs(n, edges, n - 1, draw(st.lists(st.integers(2, 3), min_size=1, max_size=2)))
+    n = _hang_legs(n, edges, 0, draw(st.lists(st.integers(1, 3), max_size=2)))
+    if draw(st.booleans()):
+        before_tip = edges[-1][0]
+        edges += [(n - 1, n), (before_tip, n)]
+        n += 1
+    return MultiGraph(n, tuple(edges))

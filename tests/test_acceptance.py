@@ -103,6 +103,16 @@ def test_criterion_3_induction_step_k2(corpus_edges7):
     _report(3, f"induction step at k=2 on {len(corpus)} graphs")
 
 
+def test_criterion_3_induction_step_k3(corpus6):
+    report = verify_theorem_induction(corpus6, 3)
+    skipped = [rec for rec in report.records if "skipped" in rec]
+    unsettled = [rec for rec in report.records if rec["agree"] is not True and "skipped" not in rec]
+    assert not unsettled, f"Unknown or disagreeing records: {unsettled}"
+    assert len(skipped) == 2  # K1 and K2 have fewer than two edges
+    assert report.agreements == len(corpus6) - 2 == 141
+    _report(3, f"induction step at k=3 on {report.agreements} graphs")
+
+
 def test_criterion_4_trail_reductions(corpus6_3e):
     for g in corpus6_3e:
         lg = line_graph(g).graph

@@ -29,7 +29,7 @@ from itline.graphcore import (
     subgraph_distance,
 )
 
-from .conftest import connected_multigraphs, doubled_multigraphs, long_branch_graphs
+from .conftest import connected_multigraphs, doubled_multigraphs, long_branch_graphs, spiders
 from .oracles import brute_witness_exists, floyd_warshall, proximity_by_distances
 
 
@@ -161,9 +161,18 @@ def test_disconnected_rejected():
 
 
 def test_budget_exhaustion_returns_unknown():
-    result = find_witness(fig2(3), 2, VARIANT_EUP, node_budget=3)
+    result = find_witness(fig4b(1), 2, VARIANT_EUP, node_budget=3)
     assert isinstance(result, Unknown)
     assert result.operation == "find_witness"
+
+
+def test_pendant_parity_settles_eup_before_any_node():
+    # fig2(3) has three pendant arms of 3 > 2 edges.  Each must meet H, and
+    # the H-edge nearest its leaf leaves an odd vertex of H in it, so EUP_2
+    # is empty: one more odd vertex than the parity budget allows.
+    assert find_witness(fig2(3), 2, VARIANT_EUP, node_budget=1) is None
+    # Two such arms fit the budget; fig3's pair of long arms is searched.
+    assert isinstance(find_witness(fig3(1, 6), 2, VARIANT_EUP, node_budget=1), Unknown)
 
 
 def test_exhaustive_search_tree_is_pinned():
@@ -276,11 +285,13 @@ def test_witness_json_shape():
     st.one_of(
         connected_multigraphs(max_vertices=5, max_extra_edges=3),
         long_branch_graphs(max_edges=10),
+        spiders(max_edges=9),
     )
 )
 def test_search_matches_raw_enumeration(g):
     # Dual route: the pruned search against unstructured subset enumeration.
-    # Long branches are where the proximity lookahead cuts subtrees.
+    # Long branches are where the proximity lookahead cuts subtrees, and
+    # spiders' three long legs where the pendant parity certificate answers.
     for k in (1, 2, 3):
         for variant in (VARIANT_EU, VARIANT_EUP):
             found = find_witness(g, k, variant)

@@ -1,15 +1,18 @@
 """Exact indices, the four upper bounds, and the direct-iteration cross-check."""
 
+import hashlib
+import json
 import time
 from functools import partial
 
 import pytest
 from hypothesis import given, settings
 
+from itline import indices
 from itline.budget import Unknown
 from itline.eup import find_witness
 from itline.families import complete, cycle, fig1, fig2, fig3, fig4b, path, star, two_cycle
-from itline.graphcore import MultiGraph, SubgraphH, Trail, validate_trail
+from itline.graphcore import GraphError, MultiGraph, SubgraphH, Trail, validate_trail
 from itline.indices import (
     IndexResult,
     PathHasNoIndexError,
@@ -238,6 +241,70 @@ def test_index_value_method_consistency():
             assert r.method == "dominating-trail"
         else:
             assert r.method == "EUP-witness"
+
+
+# sha256 of [value, method, witness] of the path index and then the cycle
+# index (None on paths) on the graphs below, as the driver gave them when it
+# searched every level.  The certificates are exact, so none may change.
+INDEX_DIGEST = "70762e8d9cd7308bcf3ce0c1a5be5ccc141ace6abc13871a245f79fdf7fabaa5"
+
+
+def test_indices_match_pinned_digest(corpus6):
+    def entry(r):
+        w = r.witness
+        if isinstance(w, Trail):
+            return [r.value, r.method, [list(w.vertices), list(w.edge_ids), w.closed]]
+        return [r.value, r.method, [sorted(w.edge_ids), sorted(w.extra_vertices)]]
+
+    graphs = list(corpus6) + [
+        fig1(), fig2(1), fig2(2), fig2(3), fig3(1, 6), fig3(2, 7), fig4b(1),
+    ]
+    entries = []
+    for g in graphs:
+        entries.append(entry(hamiltonian_path_index(g)))
+        entries.append(None if is_path_graph(g) else entry(hamiltonian_index(g)))
+    assert len(entries) == 300 and entries.count(None) == 6
+    blob = json.dumps(entries, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == INDEX_DIGEST
+
+
+def test_index_skips_ruled_out_levels_and_defers_the_stop_bound(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("find_dominating_trail", "bound_cor2", "_cycle_index_stop"):
+        monkeypatch.setattr(indices, name, counted(getattr(indices, name)))
+    # fig2(1) has a dominating trail; fig2(2)'s hexagon meets three inner
+    # bridges, and its level 2 settles without the stop bound.
+    assert hamiltonian_path_index(fig2(1)).value == 1
+    assert calls == ["find_dominating_trail"]
+    calls.clear()
+    assert hamiltonian_path_index(fig2(2)).value == 2
+    assert hamiltonian_index(fig2(2)).value == 2
+    assert calls == []
+    # fig3(2,7) needs level 4, so level 2 comes up empty and the bound is
+    # read once.
+    assert hamiltonian_path_index(fig3(2, 7)).value == 4
+    assert calls == ["bound_cor2"]
+
+
+def test_index_still_raises_past_the_stop_bound(monkeypatch):
+    levels = []
+
+    def never(g, k, variant, **kwargs):
+        levels.append(k)
+        return None
+
+    monkeypatch.setattr(indices, "find_witness", never)
+    with pytest.raises(GraphError, match="stopping bound"):
+        hamiltonian_path_index(fig2(2))
+    # bound_cor2: 12 vertices, diameter 6.
+    assert levels == [2, 3, 4, 5]
 
 
 # --- direct cross-check -------------------------------------------------------

@@ -17,6 +17,7 @@ from itline.graphcore import (
 from itline.structure import (
     branches,
     branches_b1,
+    bridge_tree_rules_out_trail,
     cycle_component_edges,
     degree_classes,
     dominates,
@@ -27,11 +28,19 @@ from itline.structure import (
 
 from .conftest import (
     attached_cycle_graphs,
+    brooms,
     connected_multigraphs,
+    doubled_multigraphs,
     long_branch_graphs,
     multigraphs,
+    spiders,
 )
-from .oracles import brute_branches, brute_pendent_cycles, two_pendant_cycles_graph
+from .oracles import (
+    brute_branches,
+    brute_has_dominating_trail,
+    brute_pendent_cycles,
+    two_pendant_cycles_graph,
+)
 
 
 def test_degree_classes_fig1():
@@ -185,8 +194,6 @@ def test_max_trail_matches_unmemoized_enumeration(g):
 @settings(deadline=None, max_examples=40)
 @given(BRANCHY_GRAPHS)
 def test_dominating_trail_existence_matches_enumeration(g):
-    from .oracles import brute_has_dominating_trail
-
     for closed in (False, True):
         found = find_dominating_trail(g, closed=closed)
         assert not isinstance(found, Unknown)
@@ -301,3 +308,44 @@ def test_dominating_closed_trail_is_closed_and_dominates(g):
     validate_trail(g, t)
     assert t.closed
     assert dominates(g, trail_vertex_set(t))
+
+
+# --- the bridge-tree certificate --------------------------------------------
+
+
+def test_bridge_tree_certificate_on_named_graphs():
+    # (open, closed) verdicts.  fig2(1)'s arms end in leaves, so none of its
+    # bridges is inner; fig1's bridges at 1 and 9 are inner, but only two,
+    # and path(6)'s three inner bridges meet each piece at most twice.
+    # fig2(k >= 2), fig3 and fig4b meet three inner bridges at one piece.
+    cases = {
+        "fig1": (fig1(), False, True),
+        "fig2(1)": (fig2(1), False, False),
+        "fig2(2)": (fig2(2), True, True),
+        "fig3(1,6)": (fig3(1, 6), True, True),
+        "fig4b(1)": (fig4b(1), True, True),
+        "spider(2,2,2)": (MultiGraph(7, ((0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6))),
+                          True, True),
+        "path(6)": (path(6), False, True),
+        "star(4)": (star(4), False, False),
+        "cycle(5)": (cycle(5), False, False),
+    }
+    for name, (g, open_out, closed_out) in cases.items():
+        assert bridge_tree_rules_out_trail(g, False) == open_out, name
+        assert bridge_tree_rules_out_trail(g, True) == closed_out, name
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.one_of(
+        connected_multigraphs(max_vertices=6, max_extra_edges=3),
+        doubled_multigraphs(max_vertices=6, max_edges=6),
+        spiders(max_edges=11),
+        brooms(),
+    )
+)
+def test_bridge_tree_certificate_is_exact(g):
+    # A ruled-out trail must not exist, by unmemoized enumeration.
+    for closed in (False, True):
+        if bridge_tree_rules_out_trail(g, closed):
+            assert not brute_has_dominating_trail(g, closed)
