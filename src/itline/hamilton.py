@@ -3,9 +3,12 @@
 The oracles are exact: one depth-first search over adjacency bitmasks on an
 explicit stack, with the classic backtracking prunes (Vandegriend & Culberson,
 JAIR 1998): the leaf-count cut, a must-stay-connected check, exit counts for
-every unvisited vertex, and most-constrained-neighbour-first ordering.  The
-search counts node expansions against the caller's budget and reports
-``Unknown`` when it runs out; a yes answer carries a vertex-order witness.
+every unvisited vertex, and most-constrained-neighbour-first ordering.  Most
+yes-instances are settled on that search's first descent, so each start first
+walks the descent alone on plain masks and builds the backtracking state only
+at a dead end.  The search counts node expansions against the caller's budget
+and reports ``Unknown`` when it runs out; a yes answer carries a vertex-order
+witness.
 
 The lifts turn a dominating (closed) trail of G into a hamiltonian path
 (cycle) of the line graph: walk the trail and splice every non-trail edge in
@@ -68,32 +71,85 @@ def is_hamiltonian_cycle(g: MultiGraph, order: tuple[int, ...]) -> bool:
     return all(adj[order[i]] >> order[(i + 1) % n] & 1 for i in range(n))
 
 
-def _search(g: MultiGraph, cycle: bool, budget: Budget) -> tuple[int, ...] | None:
-    """Exact search for a hamiltonian path or cycle; raises BudgetExhausted.
+def _starts(adj: tuple[int, ...], cycle: bool) -> list[int]:
+    """The vertices a search must start from, in order; none when a cut rules it out.
 
     A path has a leaf as an end, so a graph with more than two leaves has
     none and a graph with a leaf is searched from its smallest leaf only; a
     cycle is anchored at a vertex of least degree.
     """
-    adj = g.neighbor_masks
     deg = [m.bit_count() for m in adj]
-    by_degree = sorted(range(g.vertex_count), key=deg.__getitem__)  # stable: ties by id
+    by_degree = sorted(range(len(adj)), key=deg.__getitem__)  # stable: ties by id
     leaves = [v for v in by_degree if deg[v] <= 1]
     if cycle:
-        if leaves:
-            return None
-        starts = by_degree[:1]
-    elif len(leaves) > 2:
-        return None
-    else:
-        starts = leaves[:1] or by_degree
-    # Distinct neighbours: the far ends of the edges unless some are parallel.
-    nbrs = _neighbor_lists(g) if sum(deg) == 2 * g.edge_count else [mask_members(m) for m in adj]
-    for start in starts:
+        return [] if leaves else by_degree[:1]
+    if len(leaves) > 2:
+        return []
+    return leaves[:1] or by_degree
+
+
+def _search(g: MultiGraph, cycle: bool, budget: Budget) -> tuple[int, ...] | None:
+    """Exact search for a hamiltonian path or cycle; raises BudgetExhausted.
+
+    From each start, :func:`_descend` first walks the search's first descent
+    and :func:`_search_from` runs only if that walk dead-ends.  This is
+    exact: every prune of ``_search_from`` cuts only subtrees that hold no
+    hamiltonian path or cycle, and the walk skips what the search would
+    prune on its own (for a cycle, a step that leaves the start no unvisited
+    neighbour).  So when the walk finishes, the search would have entered
+    the same child at every depth and returned the same order first.
+    """
+    adj = g.neighbor_masks
+    nbrs = None
+    for start in _starts(adj, cycle):
+        order = _descend(start, adj, cycle, budget)
+        if order is not None:
+            return order
+        if nbrs is None:
+            # Distinct neighbours: the far ends of the edges unless some are parallel.
+            simple = sum(m.bit_count() for m in adj) == 2 * g.edge_count
+            nbrs = _neighbor_lists(g) if simple else [mask_members(m) for m in adj]
         order = _search_from(start, nbrs, adj, cycle, budget)
         if order is not None:
             return order
     return None
+
+
+def _descend(
+    start: int, adj: tuple[int, ...], cycle: bool, budget: Budget
+) -> tuple[int, ...] | None:
+    """The first descent of :func:`_search_from`, or None at its first dead end.
+
+    Each step goes to the unvisited neighbour with the fewest unvisited
+    neighbours, ties by vertex id, which is the search's own child order; a
+    cycle skips a step that would leave the start no unvisited neighbour.
+    One budget tick per step taken.
+    """
+    free = ((1 << len(adj)) - 1) ^ (1 << start)
+    path = [start]
+    v = start
+    while free:
+        best, fewest = -1, len(adj)
+        cand = adj[v] & free
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            rest = free ^ bit
+            if cycle and rest and not adj[start] & rest:
+                continue
+            w = bit.bit_length() - 1
+            exits = (adj[w] & rest).bit_count()
+            if exits < fewest:
+                best, fewest = w, exits
+        if best < 0:
+            return None
+        budget.tick()
+        free ^= 1 << best
+        path.append(best)
+        v = best
+    if cycle and not adj[v] >> start & 1:
+        return None
+    return tuple(path)
 
 
 def _search_from(

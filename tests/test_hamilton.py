@@ -1,13 +1,18 @@
 """Hamiltonicity oracles and the dominating-trail lifts."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 
 from itline.budget import Budget, Unknown
 from itline.families import complete, cycle, fig1, fig2, fig3, fig4b, path, star, two_cycle
-from itline.graphcore import InputError, MultiGraph, Trail, trivial_trail
+from itline.graphcore import InputError, MultiGraph, Trail, mask_members, trivial_trail
 from itline.hamilton import (
     _search,
+    _search_from,
+    _starts,
     has_hamiltonian_cycle,
     has_hamiltonian_path,
     is_hamiltonian_cycle,
@@ -90,6 +95,51 @@ def test_parallel_edges_leave_the_search_unchanged(g):
             budget = Budget()
             runs.append((_search(h, cycle_wanted, budget), budget.spent))
         assert runs[0] == runs[1]
+
+
+@given(connected_multigraphs(max_vertices=8, max_extra_edges=6))
+def test_first_descent_returns_the_backtracking_order(g):
+    # _search walks each start's first descent before it backtracks; the
+    # order it returns is the one the backtracking search alone finds first.
+    # The oracles answer one vertex, and a cycle on two, without a search.
+    adj = g.neighbor_masks
+    nbrs = [mask_members(m) for m in adj]
+    for cycle_wanted in (False, True):
+        if g.vertex_count < 2 + cycle_wanted:
+            continue
+        alone = next(
+            (order for order in (_search_from(s, nbrs, adj, cycle_wanted, Budget())
+                                 for s in _starts(adj, cycle_wanted)) if order is not None),
+            None,
+        )
+        assert _search(g, cycle_wanted, Budget()) == alone
+
+
+# sha256 of [value, order] from has_hamiltonian_path and then
+# has_hamiltonian_cycle on the graphs below, as the oracle gave them when it
+# backtracked from every start without walking a first descent.
+ORACLE_DIGEST = "083aad81a3f7daf64d411b538e20b2d95b812f7d8a6e0a78d1fa4e1b58ada551"
+
+
+def test_oracle_witnesses_match_pinned_digest(corpus6):
+    graphs = []
+    for g in corpus6:
+        graphs.append(g)
+        if g.edge_count:
+            lg = line_graph(g).graph
+            graphs.append(lg)
+            if 0 < lg.edge_count <= 20:
+                graphs.append(line_graph(lg).graph)
+    graphs += [fig1(), fig2(1), fig2(2), fig2(3), fig3(1, 6), fig3(2, 7), fig4b(1)]
+    entries = []
+    for g in graphs:
+        for oracle in (has_hamiltonian_path, has_hamiltonian_cycle):
+            answer = oracle(g)
+            assert not isinstance(answer, Unknown)
+            entries.append([answer.value, None if answer.order is None else list(answer.order)])
+    assert len(entries) == 778 and sum(value for value, _ in entries) == 633
+    blob = json.dumps(entries, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == ORACLE_DIGEST
 
 
 @settings(deadline=None)

@@ -63,8 +63,9 @@ LONG_SEARCHES = {
 @pytest.mark.parametrize("graph", LONG_GRAPHS)
 def test_long_inputs_answer_or_unknown(graph, search):
     g, run = LONG_GRAPHS[graph], LONG_SEARCHES[search]
-    # Capped: the broom's EUP search finds no witness before its default 30M
-    # nodes run out, at about 2 microseconds a node (20,000 nodes: 0.08 s).
+    # Every case answers well inside the cap (the broom's EUP witness takes
+    # 2,999 nodes, see below); the cap keeps a regression from running for
+    # minutes at the default 30M nodes.
     answer = run(g, node_budget=20_000)
     assert answer is None or isinstance(
         answer, (Unknown, MaxTrailResult, Trail, SubgraphH, IndexResult)
@@ -75,6 +76,17 @@ def test_long_inputs_answer_or_unknown(graph, search):
         assert starved is None
     else:
         assert isinstance(starved, Unknown) and starved.budget_spent == 51
+
+
+def test_broom_eup_witness_and_its_node_count():
+    # The edge (1, 2) with the isolated vertex 0, found after exactly 2,999
+    # nodes; one node fewer gives Unknown.
+    g = LONG_GRAPHS["broom"]
+    assert g.edges[1] == (1, 2)
+    w = find_witness(g, 2, "eup", node_budget=2_999)
+    assert w == SubgraphH(frozenset({1}), frozenset({0}))
+    starved = find_witness(g, 2, "eup", node_budget=2_998)
+    assert isinstance(starved, Unknown) and starved.budget_spent == 2_999
 
 
 def test_long_trail_searches_answer():
