@@ -23,13 +23,19 @@ prunes keep the walk small, each exact by a one-line fact:
 * A vertex set dominates iff the vertices outside it are independent, which
   is tested on neighbour bitmasks, one per vertex outside, not per edge.
 
-A certificate settles some empty searches with no walk at all:
+The bridge tree (2-edge-connected pieces joined by bridges) serves twice,
+since a trail crosses each bridge at most once and so touches the pieces of
+one tree path.  :func:`max_trail` builds it once its first descent ends
+short of all n vertices: no trail beats the tree's best path, so the search
+stops at a trail that reaches it, and it prunes a trail that cannot beat
+the best even if it took the rest of its piece and the best tree path out
+of it.  A certificate settles some empty searches with no walk at all:
 :func:`bridge_tree_rules_out_trail` reads from one bridge pass that a
 dominating trail would have to cross a bridge that it cannot (closed) or
-take three branches of the bridge tree at one piece (open).  The trail
-search itself does not consult it, since on the common graph with a
-dominating trail the pass would only add cost; the index driver asks it
-first.
+take three branches of the bridge tree at one piece (open).  The
+dominating-trail search itself does not consult it, since on the common
+graph with a dominating trail the pass would only add cost;
+``indices._index`` asks it first.
 """
 
 from __future__ import annotations
@@ -44,10 +50,11 @@ from .graphcore import (
     InputError,
     MultiGraph,
     Trail,
-    _flood,
+    _split,
     _unchecked,
     bridges,
     is_connected,
+    mask_members,
     trivial_trail,
 )
 
@@ -261,6 +268,82 @@ def _walk_trails(
     return None
 
 
+def _bridge_pieces(g: MultiGraph, cut: frozenset[int]) -> tuple[list[int], list[int]]:
+    """G's 2-edge-connected pieces, given its bridges ``cut``.
+
+    The pieces are the components left once the bridges are cut: their
+    vertex masks by smallest member, and the index of each vertex's piece.
+    A bridge is the only edge between its ends.
+    """
+    edges = g.edges
+    nbr = list(g.neighbor_masks)
+    for eid in cut:
+        u, v = edges[eid]
+        nbr[u] ^= 1 << v
+        nbr[v] ^= 1 << u
+    pieces = _split(nbr, (1 << g.vertex_count) - 1)
+    piece_of = [0] * g.vertex_count
+    for i, piece in enumerate(pieces):
+        for x in mask_members(piece):
+            piece_of[x] = i
+    return pieces, piece_of
+
+
+def _bridge_tree_paths(
+    g: MultiGraph, cut: frozenset[int], v3_mask: int
+) -> tuple[list[int], list[list[tuple[int, int]]], int]:
+    """Values of the paths of the bridge tree, which bound every trail of G.
+
+    The tree's nodes are the 2-edge-connected pieces and its edges the
+    bridges ``cut``.  A trail crosses each bridge at most once, so the
+    pieces it touches lie on one path of the tree, and it covers no more
+    than their vertices.  A piece weighs ``count * (n + 1) + cov``, its
+    vertex count and degree->=3 count, so that sums order as (count, cov)
+    pairs do.  One pass from the leaves up to piece 0 and one back down (no
+    recursion) give each piece its exits: (the best value of a tree path
+    that leaves the piece by a bridge, that bridge), best first.  Returns,
+    for each vertex, the vertex mask of its piece and the piece's exits, and
+    the best value of any tree path.
+    """
+    pieces, piece_of = _bridge_pieces(g, cut)
+    edges, scale = g.edges, g.vertex_count + 1
+    weight = [p.bit_count() * scale + (p & v3_mask).bit_count() for p in pieces]
+    adj: list[list[tuple[int, int]]] = [[] for _ in pieces]
+    for eid in cut:
+        u, v = edges[eid]
+        a, b = piece_of[u], piece_of[v]
+        adj[a].append((eid, b))
+        adj[b].append((eid, a))
+    # A breadth-first order from piece 0, with each other piece's parent and
+    # the bridge into it from there.
+    order, parent, via = [0], [0] * len(pieces), [-1] * len(pieces)
+    for a in order:
+        for eid, b in adj[a]:
+            if eid != via[a]:
+                parent[b], via[b] = a, eid
+                order.append(b)
+    # below[b]: the best path that starts at b and stays in b's subtree.
+    below = weight[:]
+    for b in order[:0:-1]:
+        a = parent[b]
+        below[a] = max(below[a], weight[a] + below[b])
+    # Each piece's exits down; its exit up is added when its parent comes,
+    # from the parent's best other exit.
+    exits = [[(below[b], eid) for eid, b in adj[a] if eid != via[a]] for a in range(len(pieces))]
+    best = 0
+    for a in order:
+        out = exits[a]
+        out.sort(reverse=True)
+        top, top_eid = out[0] if out else (0, -1)
+        second = out[1][0] if len(out) > 1 else 0
+        # The best tree path leaves one of its end pieces by its best exit.
+        best = max(best, weight[a] + top)
+        for eid, b in adj[a]:
+            if eid != via[a]:
+                exits[b].append((weight[a] + (second if eid == top_eid else top), eid))
+    return [pieces[i] for i in piece_of], [exits[i] for i in piece_of], best
+
+
 @dataclass(frozen=True)
 class MaxTrailResult:
     """A trail with the most distinct vertices, preferring coverage of degree->=3 vertices.
@@ -287,13 +370,27 @@ def max_trail(
     lowers either, so an optimal trail can be taken maximal, and trails
     start at odd-degree vertices only (at 0 when G is Eulerian; see the
     module docstring), in increasing order, which decides the witness among
-    equal optima.  The search stops at the first trail through all n
-    vertices, which also covers every degree->=3 vertex.  States (current
-    vertex, used edges) determine all future extensions, so revisited states
-    are skipped; an optimistic reachability bound prunes the rest.  The
-    bound is kept per depth: a step that uses the last unused edge at the
-    old end leaves it unchanged, so only other steps search for the reach
-    over unused edges.
+    equal optima.  States (current vertex, used edges) determine all future
+    extensions, so revisited states are skipped.  The search stops at the
+    first trail that reaches an upper bound on every trail, at first a
+    trail through all n vertices, and two optimistic bounds prune the rest:
+
+    * The reach bound: the trail's vertices and those reachable from its
+      end over unused edges.  It is kept per depth: a step that uses the
+      last unused edge at the old end leaves it unchanged, so only other
+      steps search for the reach.
+    * The bridge-tree bound (:func:`_bridge_tree_paths`).  The first time
+      the walk goes no deeper, its first descent having ended short of all
+      n vertices, one bridge pass builds the bridge tree, and the best value
+      of its paths becomes the stop.  A trail is then pruned when its own
+      count, plus the unvisited vertices of its end's piece, plus the best
+      exit from that piece by a bridge it has not used, cannot beat the
+      best.  On a graph with no bridge this is never below the reach bound,
+      so it is not applied there.
+
+    Both bounds cut only subtrees that hold no strictly better trail, and
+    the best changes only on a strictly better trail, so the witness is
+    the first optimum in search order.
     """
     if g.vertex_count == 0:
         raise InputError("max_trail requires a nonempty graph")
@@ -303,17 +400,27 @@ def max_trail(
     inc, ends = g.incidence, g.ends
     v3_mask = sum(1 << v for v, ids in enumerate(inc) if len(ids) >= 3)
     inc_mask = [sum(1 << eid for eid in inc[v]) for v in range(n)]
+    # A trail's key is count * scale + cov, which orders (count, cov) pairs.
+    scale = n + 1
 
     # Best-so-far, seeded with the best trivial trail.
     if v3_mask:
         seed = (v3_mask & -v3_mask).bit_length() - 1
-        best_cov = 1
+        best_key = scale + 1
     else:
         seed = 0
-        best_cov = 0
-    best_count = 1
+        best_key = scale
     best_vs: tuple[int, ...] = (seed,)
     best_es: tuple[int, ...] = ()
+    # The stop, the best key any trail can have: all n vertices until the
+    # bridge tree is built.  ``descent`` is the depth of the last visit while
+    # the walk is still on its first descent, None once the tree is built;
+    # then ``piece_at[v]`` is the vertex mask of v's piece and ``exits_at[v]``
+    # its exits, and ``piece_at`` stays None when the graph has no bridge.
+    goal = n * scale + v3_mask.bit_count()
+    descent: int | None = -1
+    piece_at: list[int] | None = None
+    exits_at: list[list[tuple[int, int]]] = []
     # bounds[d]: (ub, whole) for the trail of d edges being expanded.  ``ub``
     # holds the trail's vertices and those reachable from its end over unused
     # edges: all of them when ``whole``, else more than the best count at the
@@ -343,15 +450,34 @@ def max_trail(
         return mask, True
 
     def visit(v: int, used: int, vmask: int, path_v: list[int], path_e: list[int]) -> int:
-        nonlocal best_count, best_cov, best_vs, best_es
+        nonlocal best_key, best_vs, best_es, goal, descent, piece_at, exits_at
         count = vmask.bit_count()
-        cov = (vmask & v3_mask).bit_count()
-        if count > best_count or (count == best_count and cov > best_cov):
-            best_count, best_cov = count, cov
-            best_vs, best_es = tuple(path_v), tuple(path_e)
-            if count == n:
+        key = count * scale + (vmask & v3_mask).bit_count()
+        if key > best_key:
+            best_key, best_vs, best_es = key, tuple(path_v), tuple(path_e)
+            if key == goal:
                 return _STOP
         depth = len(path_e)
+        if descent is not None:
+            if depth > descent:
+                descent = depth
+            else:
+                descent = None
+                cut = bridges(g)
+                if cut:
+                    piece_at, exits_at, goal = _bridge_tree_paths(g, cut, v3_mask)
+                    if best_key == goal:
+                        return _STOP
+        if piece_at is not None:
+            rest = piece_at[v] & ~vmask
+            ub_key = key + rest.bit_count() * scale + (rest & v3_mask).bit_count()
+            for value, eid in exits_at[v]:
+                if not used >> eid & 1:
+                    ub_key += value
+                    break
+            if ub_key <= best_key:
+                return _PRUNE
+        best_count = best_key // scale
         ub, whole = 0, False
         if depth and not inc_mask[path_v[-2]] & ~used:
             # The step used the old end's last unused edge, so the new end
@@ -360,12 +486,8 @@ def max_trail(
         if not whole and ub.bit_count() <= best_count:
             reach, whole = reach_mask(v, used, vmask, best_count + 1 - count)
             ub = vmask | reach
-        if whole:
-            ub_count = ub.bit_count()
-            if ub_count < best_count:
-                return _PRUNE
-            if ub_count == best_count and (ub & v3_mask).bit_count() <= best_cov:
-                return _PRUNE
+        if whole and ub.bit_count() * scale + (ub & v3_mask).bit_count() <= best_key:
+            return _PRUNE
         bounds[depth] = ub, whole
         return _EXPAND
 
@@ -375,7 +497,7 @@ def max_trail(
         return Unknown("max_trail", exc.spent, f"graph with {n} vertices, {m} edges")
 
     trail = _unchecked(Trail, best_vs, best_es, best_vs[0] == best_vs[-1])
-    return MaxTrailResult(trail, best_count, v3_mask.bit_count() - best_cov)
+    return MaxTrailResult(trail, best_key // scale, v3_mask.bit_count() - best_key % scale)
 
 
 def bridge_tree_rules_out_trail(g: MultiGraph, closed: bool) -> bool:
@@ -390,7 +512,7 @@ def bridge_tree_rules_out_trail(g: MultiGraph, closed: bool) -> bool:
     by at most two of its bridges; so a piece that meets three or more
     inner bridges rules it out.  False says nothing: the trail search
     decides.  One :func:`bridges` pass; with three or more inner bridges,
-    also a flood of the piece at each of their ends.
+    also the pieces (:func:`_bridge_pieces`).
     """
     inc, edges = g.incidence, g.edges
     cut = bridges(g)
@@ -399,14 +521,8 @@ def bridge_tree_rules_out_trail(g: MultiGraph, closed: bool) -> bool:
         return bool(inner)
     if len(inner) < 3:
         return False
-    # The pieces are the components left once the bridges are cut; a bridge
-    # is the only edge between its ends.
-    nbr = list(g.neighbor_masks)
-    for eid in cut:
-        u, v = edges[eid]
-        nbr[u] ^= 1 << v
-        nbr[v] ^= 1 << u
-    met = Counter(_flood(nbr, 1 << x) for ends in inner for x in ends)
+    _, piece_of = _bridge_pieces(g, cut)
+    met = Counter(piece_of[x] for ends in inner for x in ends)
     return max(met.values()) >= 3
 
 

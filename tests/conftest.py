@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import strategies as st
 
@@ -27,6 +29,13 @@ def corpus6_3e(corpus6) -> list[MultiGraph]:
 @pytest.fixture(scope="session")
 def corpus_edges7() -> list[MultiGraph]:
     return corpus_by_edge_cap(7)
+
+
+def relabeled_copy(g: MultiGraph, rng: random.Random) -> MultiGraph:
+    """An isomorphic copy under a random vertex permutation, with no cached code."""
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    return MultiGraph(g.vertex_count, tuple((perm[u], perm[v]) for u, v in g.edges))
 
 
 @st.composite

@@ -28,15 +28,8 @@ from itline.harness import (
 )
 from itline.linegraph import line_graph
 
-from .conftest import simple_graphs
+from .conftest import relabeled_copy, simple_graphs
 from .oracles import is_isomorphic
-
-
-def _relabeled(g: MultiGraph, rng: random.Random) -> MultiGraph:
-    """An isomorphic copy under a random vertex permutation, with no cached code."""
-    perm = list(range(g.vertex_count))
-    rng.shuffle(perm)
-    return MultiGraph(g.vertex_count, tuple((perm[u], perm[v]) for u, v in g.edges))
 
 
 def test_enumeration_counts_small():
@@ -96,7 +89,7 @@ def test_pairwise_niso_via_canonical_key(corpus5):
 
 @given(simple_graphs(max_vertices=6), st.randoms(use_true_random=False))
 def test_canonical_key_invariant_under_relabeling(g, rng):
-    assert canonical_key(_relabeled(g, rng)) == canonical_key(g)
+    assert canonical_key(relabeled_copy(g, rng)) == canonical_key(g)
     assert is_isomorphic(graph_from_key(canonical_key(g)), g)
 
 
@@ -134,7 +127,7 @@ def test_graph_id_is_graph6_of_the_canonical_form(corpus6):
     for g in corpus6:
         want = to_graph6(graph_from_key(canonical_key(g)))
         for _ in range(3):
-            assert graph_id(_relabeled(g, rng)) == want
+            assert graph_id(relabeled_copy(g, rng)) == want
 
 
 def test_graph_id_is_isomorphism_invariant_for_multigraphs():
@@ -324,7 +317,7 @@ def test_budget_env_override(monkeypatch):
 
 def test_reports_ignore_vertex_labels(corpus5):
     rng = random.Random(5)
-    relabeled = [_relabeled(g, rng) for g in corpus5]
+    relabeled = [relabeled_copy(g, rng) for g in corpus5]
     campaigns = (
         lambda c: verify_theorem_main([g for g in c if g.edge_count >= 3], 2),
         lambda c: run_equivalence_campaign([g for g in c if g.edge_count >= 3]),

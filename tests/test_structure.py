@@ -1,20 +1,27 @@
 """Degree classes, branches, pendent cycles, maximum and dominating trails."""
 
+import hashlib
+import json
+import random
 from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from itline import structure
 from itline.budget import Unknown
 from itline.families import complete, cycle, fig1, fig2, fig3, fig4b, path, star, two_cycle
 from itline.graphcore import (
     DisconnectedGraphError,
     MultiGraph,
+    bridges,
+    diameter,
     trail_vertex_set,
     validate_trail,
 )
 from itline.structure import (
+    _bridge_tree_paths,
     branches,
     branches_b1,
     bridge_tree_rules_out_trail,
@@ -33,11 +40,13 @@ from .conftest import (
     doubled_multigraphs,
     long_branch_graphs,
     multigraphs,
+    relabeled_copy,
     spiders,
 )
 from .oracles import (
     brute_branches,
     brute_has_dominating_trail,
+    brute_max_trail_stats,
     brute_pendent_cycles,
     two_pendant_cycles_graph,
 )
@@ -185,8 +194,6 @@ BRANCHY_GRAPHS = st.one_of(
 @given(BRANCHY_GRAPHS)
 def test_max_trail_matches_unmemoized_enumeration(g):
     # Dual route for the memoized pruning search.
-    from .oracles import brute_max_trail_stats
-
     mt = max_trail(g)
     assert (mt.mt_star, mt.d3_star) == brute_max_trail_stats(g)
 
@@ -215,21 +222,33 @@ def test_trail_search_trees_are_pinned():
     # Nodes expanded.  On fig3(1,6), starting open walks at odd vertices only
     # takes max_trail from 398 to 255 nodes and the open dominating search
     # from 1,458 to 654, and skipping bridges takes the closed search from
-    # 523 to 70.  max_trail on fig4b(1) (1,264 to 948) also meets carried
-    # bounds too small to expand on, which must be searched again.  A lost
-    # prune grows a tree past its pin.
+    # 523 to 70.  The bridge-tree bound and stop take max_trail on fig3(1,6)
+    # from 255 to 14 nodes, on fig3(2,7) from 282 to 16 and on fig4b(1)
+    # from 948 to 51.  A lost prune grows a tree past its pin.
     open_search = partial(find_dominating_trail, closed=False)
     closed_search = partial(find_dominating_trail, closed=True)
     cases = (
-        (fig3(1, 6), max_trail, 255),
+        (fig3(1, 6), max_trail, 14),
+        (fig3(2, 7), max_trail, 16),
         (fig3(1, 6), open_search, 654),
         (fig3(1, 6), closed_search, 70),
-        (fig4b(1), max_trail, 948),
+        (fig4b(1), max_trail, 51),
     )
     for g, run, nodes in cases:
         starved = run(g, node_budget=nodes - 1)
         assert isinstance(starved, Unknown) and starved.budget_spent == nodes
         assert not isinstance(run(g, node_budget=nodes), Unknown)
+
+
+def test_max_trail_on_a_long_caterpillar():
+    # A 500-vertex spine with a leaf at every spine vertex.  The reach bound
+    # alone spends 200,000 nodes (~29 s) here without an answer; the
+    # bridge-tree bound settles it in 1,999.
+    g = MultiGraph(1000, path(500).edges + tuple((i, 500 + i) for i in range(500)))
+    mt = max_trail(g, node_budget=1_999)
+    assert (mt.mt_star, mt.d3_star) == (502, 0)
+    starved = max_trail(g, node_budget=1_998)
+    assert isinstance(starved, Unknown) and starved.budget_spent == 1_999
 
 
 def test_max_trail_stops_at_full_cover():
@@ -241,6 +260,63 @@ def test_max_trail_stops_at_full_cover():
     assert isinstance(starved, Unknown) and starved.budget_spent == 7
     mt = max_trail(g, node_budget=7)
     assert (mt.mt_star, mt.d3_star, mt.trail.edge_ids) == (5, 0, (0, 4, 1, 2, 5, 6))
+
+
+# sha256 of [mt_star, d3_star, trail vertices, trail edge ids] from max_trail
+# on the graphs below, as the search gave them with the reach bound alone.
+MAX_TRAIL_DIGEST = "e9b633f80ab586785979f91bac079a12d851045cc3bc85ff5b6abf4e10fe5715"
+
+
+def test_max_trail_witnesses_match_pinned_digest(corpus6):
+    figures = [fig1(), fig2(1), fig2(2), fig2(3), fig3(1, 6), fig3(2, 7), fig3(3, 8),
+               fig4b(1), fig4b(2)]
+    rng = random.Random(15)
+    graphs = corpus6 + figures + [relabeled_copy(g, rng) for g in figures for _ in range(3)]
+    entries = []
+    for g in graphs:
+        mt = max_trail(g)
+        entries.append([mt.mt_star, mt.d3_star, list(mt.trail.vertices), list(mt.trail.edge_ids)])
+    assert len(entries) == 179 and sum(e[0] for e in entries) == 1220
+    blob = json.dumps(entries, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == MAX_TRAIL_DIGEST
+
+
+def _tree_bound(g):
+    """The bridge tree's best path value, as (vertices, degree->=3 vertices)."""
+    v3_mask = sum(1 << v for v in range(g.vertex_count) if g.degree(v) >= 3)
+    *_, best = _bridge_tree_paths(g, bridges(g), v3_mask)
+    return divmod(best, g.vertex_count + 1)
+
+
+@settings(deadline=None)
+@given(connected_multigraphs(max_vertices=12, max_extra_edges=0))
+def test_bridge_tree_bound_on_trees_is_the_longest_path(g):
+    # Every piece of a tree is one vertex, so its best tree path is its
+    # longest path, which is also its maximum trail.
+    mt = max_trail(g)
+    v3 = sum(g.degree(v) >= 3 for v in range(g.vertex_count))
+    assert _tree_bound(g) == (mt.mt_star, v3 - mt.d3_star)
+    assert mt.mt_star == diameter(g) + 1
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(BRANCHY_GRAPHS, spiders(), brooms()))
+def test_bridge_tree_bound_is_at_least_the_maximum_trail(g):
+    mt_star, d3_star = brute_max_trail_stats(g)
+    v3 = sum(g.degree(v) >= 3 for v in range(g.vertex_count))
+    assert _tree_bound(g) >= (mt_star, v3 - d3_star)
+
+
+def test_bridge_pass_waits_for_a_dead_end(monkeypatch):
+    # The bridge tree is built only once the first descent ends short of all
+    # n vertices, so K5 (still 7 nodes, see above) and path(1500) make no pass.
+    calls = []
+    monkeypatch.setattr(structure, "bridges", lambda g: calls.append(g) or bridges(g))
+    assert max_trail(complete(5)).mt_star == 5
+    assert max_trail(path(1500)).mt_star == 1500
+    assert not calls
+    assert max_trail(fig3(1, 6)).mt_star == 13
+    assert len(calls) == 1
 
 
 # --- dominating trails ------------------------------------------------------
