@@ -50,6 +50,11 @@ class Unknown:
             "Unknown has no truth value; check `isinstance(result, Unknown)` first"
         )
 
+    def to_dict(self) -> dict:
+        """The form reports and the CLI write it in."""
+        return {"operation": self.operation, "budget_spent": self.budget_spent,
+                "detail": self.detail}
+
 
 class BudgetExhausted(Exception):
     """Internal control flow: unwinds a search when its budget runs out."""

@@ -7,6 +7,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .budget import Budget, Unknown
@@ -34,9 +35,9 @@ from .harness import (
 from .indices import (
     PathHasNoIndexError,
     compute_bounds,
+    direct_index_cross_check,
     hamiltonian_index,
     hamiltonian_path_index,
-    with_cross_check,
 )
 from .linegraph import iterated_line_graph, line_graph
 from . import families
@@ -62,6 +63,11 @@ def _read_graph(args) -> MultiGraph:
     if fmt in ("g6", "graph6"):
         return parse_graph6((text.strip().splitlines() or [""])[0])
     return parse_edgelist(text)
+
+
+def _print_json(payload: dict) -> None:
+    json.dump(payload, sys.stdout, sort_keys=True)
+    sys.stdout.write("\n")
 
 
 def _write_graph(g: MultiGraph, fmt: str | None) -> None:
@@ -120,11 +126,7 @@ def _cmd_check_eup(args) -> int:
     payload: dict = {"graph_id": graph_id(g), "variant": args.variant, "k": args.k}
     if isinstance(result, Unknown):
         payload["found"] = None
-        payload["unknown"] = {
-            "operation": result.operation,
-            "budget_spent": result.budget_spent,
-            "detail": result.detail,
-        }
+        payload["unknown"] = result.to_dict()
     elif result is None:
         payload["found"] = False
     else:
@@ -132,8 +134,7 @@ def _cmd_check_eup(args) -> int:
         if args.witness:
             report = check_conditions(g, result, args.k, args.variant)
             payload["witness"] = witness_to_json(result, report)
-    json.dump(payload, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    _print_json(payload)
     return 0
 
 
@@ -153,15 +154,13 @@ def _index_payload(g: MultiGraph, args) -> dict:
             payload[key] = None
             payload[f"{key}_unknown"] = result.detail
             continue
-        if args.cross_check:
-            result = with_cross_check(g, result)
         payload[key] = result.value
         payload[f"{key}_method"] = result.method
-        if result.cross_check:
-            payload.setdefault("checks", {})[f"{key}_cross_check"] = {
-                "status": result.cross_check.status,
-                "detail": result.cross_check.detail,
-            }
+        if args.cross_check:
+            check = direct_index_cross_check(
+                g, result, node_budget=args.budget, time_limit=args.timeout
+            )
+            payload.setdefault("checks", {})[f"{key}_cross_check"] = asdict(check)
     return payload
 
 
@@ -171,21 +170,14 @@ def _cmd_index(args) -> int:
     payload["bounds"] = compute_bounds(
         g, node_budget=args.budget, time_limit=args.timeout
     ).to_dict()
-    json.dump(payload, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    _print_json(payload)
     return 0
 
 
 def _cmd_bounds(args) -> int:
     g = _read_graph(args)
-    payload = {
-        "graph_id": graph_id(g),
-        "bounds": compute_bounds(
-            g, node_budget=args.budget, time_limit=args.timeout
-        ).to_dict(),
-    }
-    json.dump(payload, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    bounds = compute_bounds(g, node_budget=args.budget, time_limit=args.timeout)
+    _print_json({"graph_id": graph_id(g), "bounds": bounds.to_dict()})
     return 0
 
 
@@ -199,15 +191,13 @@ def _load_corpus(args) -> list[MultiGraph]:
         return graphs
     if args.max_edges is not None:
         return corpus_by_edge_cap(args.max_edges, min_edges=args.min_edges)
-    return corpus_graphs(args.max_vertices, min_edges=args.min_edges)
+    max_vertices = 6 if args.max_vertices is None else args.max_vertices
+    return corpus_graphs(max_vertices, min_edges=args.min_edges)
 
 
 def _cmd_corpus(args) -> int:
     for g in _load_corpus(args):
-        if args.format == "edgelist":
-            sys.stdout.write(to_edgelist(g))
-        else:
-            sys.stdout.write(to_graph6(g) + "\n")
+        _write_graph(g, args.format)
     return 0
 
 
@@ -217,8 +207,7 @@ def _emit_report(report: CampaignReport, args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / f"{report.name}.jsonl").write_text(report.json_lines())
         (outdir / f"{report.name}.csv").write_text(report.summary_csv())
-    json.dump(report.summary(), sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    _print_json(report.summary())
     if not report.ok:
         for r in report.records:
             if r.get("agree") is False:
@@ -232,7 +221,7 @@ def _cmd_verify(args) -> int:
         corpus = [g for g in _load_corpus(args) if g.edge_count >= 3]
         report = verify_theorem_main(corpus, args.n, **common)
     elif args.theorem == "induction":
-        if args.in_path is None and args.max_edges is None:
+        if args.in_path is None and args.max_edges is None and args.max_vertices is None:
             args.max_edges = 7
         corpus = [g for g in _load_corpus(args) if g.edge_count >= 2]
         report = verify_theorem_induction(corpus, args.k, **common)
@@ -257,6 +246,14 @@ def _add_graph_input(p: argparse.ArgumentParser, *, output_format: bool = False)
     if output_format:
         p.add_argument("--format", default=None,
                        choices=["edgelist", "g6", "graph6", "json"])
+
+
+def _add_corpus_input(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-vertices", type=int, default=None, dest="max_vertices",
+                   help="connected graphs of at most this many vertices (default: 6)")
+    p.add_argument("--max-edges", type=int, default=None, dest="max_edges")
+    p.add_argument("--min-edges", type=int, default=0, dest="min_edges")
+    p.add_argument("--in", dest="in_path", default=None, help="ingest a .g6 corpus file")
 
 
 def _add_budget(p: argparse.ArgumentParser) -> None:
@@ -314,24 +311,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_bounds)
 
     p = sub.add_parser("corpus", help="emit or normalize a graph corpus")
-    p.add_argument("--max-vertices", type=int, default=6, dest="max_vertices")
-    p.add_argument("--max-edges", type=int, default=None, dest="max_edges")
-    p.add_argument("--min-edges", type=int, default=0, dest="min_edges")
-    p.add_argument("--in", dest="in_path", default=None, help="ingest a .g6 corpus file")
+    _add_corpus_input(p)
     p.add_argument("--format", default="g6", choices=["edgelist", "g6"])
     p.set_defaults(fn=_cmd_corpus)
 
     p = sub.add_parser("verify", help="run a verification campaign")
     p.add_argument("--theorem", required=True,
-                   choices=["main", "induction", "bounds", "equivalence", "families"])
-    p.add_argument("--max-vertices", type=int, default=6, dest="max_vertices")
-    p.add_argument("--max-edges", type=int, default=None, dest="max_edges")
-    p.add_argument("--min-edges", type=int, default=0, dest="min_edges")
+                   choices=["main", "induction", "bounds", "equivalence", "families"],
+                   help="campaign to run; without a corpus flag, induction runs on "
+                        "the graphs of at most 7 edges")
+    _add_corpus_input(p)
     p.add_argument("--n", type=int, default=2, help="iteration level for --theorem main")
     p.add_argument("--k", type=int, default=2, help="level for --theorem induction")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None, help="directory for JSONL and CSV reports")
-    p.add_argument("--in", dest="in_path", default=None, help="ingest a .g6 corpus file")
     _add_budget(p)
     p.set_defaults(fn=_cmd_verify)
 

@@ -261,20 +261,36 @@ class CampaignReport:
         return buf.getvalue()
 
 
-def _unknown_dict(u: Unknown) -> dict:
-    return {"operation": u.operation, "budget_spent": u.budget_spent, "detail": u.detail}
+def _record(g: MultiGraph, fields: dict, agree: bool | None, *results) -> dict:
+    """Record of ``g``: its id and size, ``fields`` and ``agree``.  The first
+    Unknown among ``results`` (in search order) is reported and sets ``agree`` to None."""
+    rec = {"graph": graph_id(g), "n_vertices": g.vertex_count, "m_edges": g.edge_count}
+    rec.update(fields)
+    for result in results:
+        if isinstance(result, Unknown):
+            rec["unknown"] = result.to_dict()
+            agree = None
+            break
+    rec["agree"] = agree
+    return rec
 
 
-def _map_records(
-    fn: Callable[[MultiGraph], dict], corpus: Iterable[MultiGraph], workers: int
-) -> list[dict]:
+def _campaign(name: str, params: dict, record: Callable[..., dict],
+              corpus: Iterable[MultiGraph], workers: int, node_budget: int | None,
+              time_limit: float | None) -> CampaignReport:
+    """``record(g, node_budget=, time_limit=)`` for every corpus graph; a None
+    ``node_budget`` reads ``ITLINE_BUDGET``, once per campaign."""
+    node_budget = default_node_budget() if node_budget is None else node_budget
+    fn = partial(record, node_budget=node_budget, time_limit=time_limit)
     graphs = list(corpus)
     if workers <= 1:
-        return [fn(g) for g in graphs]
-    from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays for it
+        records = [fn(g) for g in graphs]
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays for it
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, graphs))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(fn, graphs))
+    return CampaignReport(name, params, records).finalize()
 
 
 # ---------------------------------------------------------------------------
@@ -337,25 +353,15 @@ def _main_record(
     time_limit: float | None,
     cross_budget: int,
 ) -> dict:
-    rec: dict = {"graph": graph_id(g), "n_vertices": g.vertex_count, "m_edges": g.edge_count}
-    unknown = None
     witness = find_witness(g, n, VARIANT_EUP, node_budget=node_budget, time_limit=time_limit)
-    if isinstance(witness, Unknown):
-        unknown = witness
-        rec["witness_found"] = None
-    else:
-        rec["witness_found"] = witness is not None
+    found = None if isinstance(witness, Unknown) else witness is not None
     base = _line_graph_power(g, n - 1)
     truth, route, truth_unknown = _traceable_truth(base, node_budget, time_limit)
-    rec["iterated_traceable"] = truth
-    rec["truth_route"] = route
-    if unknown is None:
-        unknown = truth_unknown
     # Opportunistic direct cross-check of a dominating-trail truth, on
     # L^n(G) = L(base) when it has few enough vertices (one per edge of
     # base).  A direct-oracle truth already is that check.  It always runs
     # on the default budget, ``cross_budget``, whatever ``node_budget`` is.
-    rec["cross_check"] = "skipped"
+    cross_check = "skipped"
     if (
         route == "dominating-trail"
         and truth is not None
@@ -363,13 +369,11 @@ def _main_record(
     ):
         direct = has_hamiltonian_path(line_graph(base).graph, node_budget=cross_budget)
         if not isinstance(direct, Unknown):
-            rec["cross_check"] = "agree" if direct.value == truth else "conflict"
-    if unknown is not None:
-        rec["unknown"] = _unknown_dict(unknown)
-        rec["agree"] = None
-    else:
-        rec["agree"] = rec["witness_found"] == truth and rec["cross_check"] != "conflict"
-    return rec
+            cross_check = "agree" if direct.value == truth else "conflict"
+    fields = {"witness_found": found, "iterated_traceable": truth,
+              "truth_route": route, "cross_check": cross_check}
+    return _record(g, fields, found == truth and cross_check != "conflict",
+                   witness, truth_unknown)
 
 
 def verify_theorem_main(
@@ -386,36 +390,23 @@ def verify_theorem_main(
     n >= 2; running with n = 1 demonstrates where it breaks down.
     """
     default = default_node_budget()
-    fn = partial(_main_record, n=n, node_budget=default if node_budget is None else node_budget,
-                 time_limit=time_limit, cross_budget=default)
-    records = _map_records(fn, corpus, workers)
-    return CampaignReport("main", {"n": n}, records).finalize()
+    record = partial(_main_record, n=n, cross_budget=default)
+    return _campaign("main", {"n": n}, record, corpus, workers,
+                     default if node_budget is None else node_budget, time_limit)
 
 
 def _induction_record(
     g: MultiGraph, k: int, node_budget: int | None, time_limit: float | None
 ) -> dict:
-    rec: dict = {"graph": graph_id(g), "n_vertices": g.vertex_count, "m_edges": g.edge_count}
-    unknown = None
-    lg = line_graph(g).graph
-    lhs = find_witness(lg, k, VARIANT_EUP, node_budget=node_budget, time_limit=time_limit)
+    if g.edge_count < 2:
+        return _record(g, {"skipped": "line graph has fewer than two vertices"}, None)
+    lhs = find_witness(line_graph(g).graph, k, VARIANT_EUP,
+                       node_budget=node_budget, time_limit=time_limit)
     rhs = find_witness(g, k + 1, VARIANT_EUP, node_budget=node_budget, time_limit=time_limit)
-    if isinstance(lhs, Unknown):
-        unknown = lhs
-        rec["line_graph_witness"] = None
-    else:
-        rec["line_graph_witness"] = lhs is not None
-    if isinstance(rhs, Unknown):
-        unknown = rhs if unknown is None else unknown
-        rec["base_graph_witness"] = None
-    else:
-        rec["base_graph_witness"] = rhs is not None
-    if unknown is not None:
-        rec["unknown"] = _unknown_dict(unknown)
-        rec["agree"] = None
-    else:
-        rec["agree"] = rec["line_graph_witness"] == rec["base_graph_witness"]
-    return rec
+    on_line_graph = None if isinstance(lhs, Unknown) else lhs is not None
+    on_base_graph = None if isinstance(rhs, Unknown) else rhs is not None
+    fields = {"line_graph_witness": on_line_graph, "base_graph_witness": on_base_graph}
+    return _record(g, fields, on_line_graph == on_base_graph, lhs, rhs)
 
 
 def verify_theorem_induction(
@@ -432,23 +423,8 @@ def verify_theorem_induction(
     graphs degenerate to a point, where the coverage condition can never be
     met even though the 1-edge graph itself still has witnesses.
     """
-    node_budget = default_node_budget() if node_budget is None else node_budget
-    corpus = list(corpus)
-    eligible = [g for g in corpus if g.edge_count >= 2]
-    skipped = [g for g in corpus if g.edge_count < 2]
-    fn = partial(_induction_record, k=k, node_budget=node_budget, time_limit=time_limit)
-    records = _map_records(fn, eligible, workers)
-    for g in skipped:
-        records.append(
-            {
-                "graph": graph_id(g),
-                "n_vertices": g.vertex_count,
-                "m_edges": g.edge_count,
-                "agree": None,
-                "skipped": "line graph has fewer than two vertices",
-            }
-        )
-    return CampaignReport("induction", {"k": k}, records).finalize()
+    return _campaign("induction", {"k": k}, partial(_induction_record, k=k), corpus,
+                     workers, node_budget, time_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -458,42 +434,30 @@ def verify_theorem_induction(
 def _bounds_record(
     g: MultiGraph, node_budget: int | None, time_limit: float | None
 ) -> dict:
-    rec: dict = {"graph": graph_id(g), "n_vertices": g.vertex_count, "m_edges": g.edge_count}
-    unknown = None
     hp = hamiltonian_path_index(g, node_budget=node_budget, time_limit=time_limit)
     if isinstance(hp, Unknown):
-        unknown = hp
-        rec["hp"] = None
+        fields: dict = {"hp": None}
     else:
-        rec["hp"] = hp.value
-        rec["hp_method"] = hp.method
+        fields = {"hp": hp.value, "hp_method": hp.method}
     try:
         h = hamiltonian_index(g, node_budget=node_budget, time_limit=time_limit)
-        if isinstance(h, Unknown):
-            unknown = h if unknown is None else unknown
-            rec["h"] = None
-        else:
-            rec["h"] = h.value
+        fields["h"] = None if isinstance(h, Unknown) else h.value
     except PathHasNoIndexError:
-        rec["h"] = None
-        rec["h_defined"] = False
-    bounds = compute_bounds(g, node_budget=node_budget, time_limit=time_limit)
-    rec["bounds"] = bounds.to_dict()
+        h = None
+        fields["h"] = None
+        fields["h_defined"] = False
+    bounds = compute_bounds(g, node_budget=node_budget, time_limit=time_limit).to_dict()
+    fields["bounds"] = bounds
     violations = []
-    if rec["hp"] is not None:
+    if fields["hp"] is not None:
         for name in ("thm_b1", "cor1", "cor2", "thm_b2"):
-            value = rec["bounds"][name]
-            if value is not None and rec["hp"] > value:
-                violations.append(f"hp={rec['hp']} exceeds {name}={value}")
-        if rec.get("h") is not None and rec["hp"] > rec["h"]:
-            violations.append(f"hp={rec['hp']} exceeds h={rec['h']}")
-    rec["violations"] = violations
-    if unknown is not None:
-        rec["unknown"] = _unknown_dict(unknown)
-        rec["agree"] = None
-    else:
-        rec["agree"] = not violations
-    return rec
+            value = bounds[name]
+            if value is not None and fields["hp"] > value:
+                violations.append(f"hp={fields['hp']} exceeds {name}={value}")
+        if fields["h"] is not None and fields["hp"] > fields["h"]:
+            violations.append(f"hp={fields['hp']} exceeds h={fields['h']}")
+    fields["violations"] = violations
+    return _record(g, fields, not violations, hp, h)
 
 
 def run_bounds_campaign(
@@ -504,10 +468,7 @@ def run_bounds_campaign(
     workers: int = 1,
 ) -> CampaignReport:
     """Exact indices vs every upper bound on every corpus graph."""
-    node_budget = default_node_budget() if node_budget is None else node_budget
-    fn = partial(_bounds_record, node_budget=node_budget, time_limit=time_limit)
-    records = _map_records(fn, corpus, workers)
-    return CampaignReport("bounds", {}, records).finalize()
+    return _campaign("bounds", {}, _bounds_record, corpus, workers, node_budget, time_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +478,10 @@ def run_bounds_campaign(
 def _equivalence_record(
     g: MultiGraph, node_budget: int | None, time_limit: float | None
 ) -> dict:
-    rec: dict = {"graph": graph_id(g), "n_vertices": g.vertex_count, "m_edges": g.edge_count}
-    unknown = None
     lg = line_graph(g).graph
-    results = {}
+    fields = {}
+    searches = []
+    agree = True
     for label, oracle, closed in (
         ("traceable", has_hamiltonian_path, False),
         ("hamiltonian", has_hamiltonian_cycle, True),
@@ -529,22 +490,12 @@ def _equivalence_record(
         trail = find_dominating_trail(
             g, closed=closed, node_budget=node_budget, time_limit=time_limit
         )
-        if isinstance(direct, Unknown):
-            unknown = direct if unknown is None else unknown
-            results[label] = None
-        elif isinstance(trail, Unknown):
-            unknown = trail if unknown is None else unknown
-            results[label] = None
-        else:
-            rec[f"line_graph_{label}"] = direct.value
-            rec[f"dominating_trail_{'closed' if closed else 'open'}"] = trail is not None
-            results[label] = direct.value == (trail is not None)
-    if unknown is not None:
-        rec["unknown"] = _unknown_dict(unknown)
-        rec["agree"] = None
-    else:
-        rec["agree"] = all(results.values())
-    return rec
+        searches += (direct, trail)
+        if not isinstance(direct, Unknown) and not isinstance(trail, Unknown):
+            fields[f"line_graph_{label}"] = direct.value
+            fields[f"dominating_trail_{'closed' if closed else 'open'}"] = trail is not None
+            agree = agree and direct.value == (trail is not None)
+    return _record(g, fields, agree, *searches)
 
 
 def run_equivalence_campaign(
@@ -555,10 +506,8 @@ def run_equivalence_campaign(
     workers: int = 1,
 ) -> CampaignReport:
     """Line-graph hamiltonicity oracles vs dominating-trail search on the base graph."""
-    node_budget = default_node_budget() if node_budget is None else node_budget
-    fn = partial(_equivalence_record, node_budget=node_budget, time_limit=time_limit)
-    records = _map_records(fn, corpus, workers)
-    return CampaignReport("equivalence", {}, records).finalize()
+    return _campaign("equivalence", {}, _equivalence_record, corpus, workers,
+                     node_budget, time_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +567,7 @@ def run_family_suite(
                 "expected": expected,
                 "actual": None if unknown else actual,
                 "agree": None if unknown else expected == actual,
-                **({"unknown": _unknown_dict(actual)} if unknown else {}),
+                **({"unknown": actual.to_dict()} if unknown else {}),
             }
         )
 

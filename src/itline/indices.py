@@ -16,7 +16,7 @@ method and witness is the one the searches alone would give.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import count
 from typing import Callable
 
@@ -68,7 +68,6 @@ class IndexResult:
     method: str  # direct-oracle | dominating-trail | EUP-witness | EU-witness
     kind: str  # hp | h
     witness: Trail | SubgraphH | None = None
-    cross_check: "CrossCheck | None" = None
 
 
 @dataclass(frozen=True)
@@ -328,21 +327,3 @@ def direct_index_cross_check(
         return CrossCheck("cap_exceeded", str(exc))
     except EdgelessGraphError as exc:
         return CrossCheck("mismatch", f"iteration collapses before the claimed level: {exc}")
-
-
-def with_cross_check(
-    g: MultiGraph,
-    result: IndexResult,
-    *,
-    build_cap: int = 5000,
-    node_budget: int | None = None,
-    time_limit: float | None = None,
-) -> IndexResult:
-    check = direct_index_cross_check(
-        g,
-        result,
-        build_cap=build_cap,
-        node_budget=node_budget,
-        time_limit=time_limit,
-    )
-    return replace(result, cross_check=check)

@@ -1,4 +1,4 @@
-"""The line-graph operator and its iteration, with edge-to-vertex provenance."""
+"""The line-graph operator and its iteration; vertex i of L(G) is edge i of G."""
 
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ class CapExceededError(GraphError):
 
 @dataclass(frozen=True)
 class LineGraphResult:
-    """A line graph together with the map from its vertices back to source edges."""
+    """A line graph and its ``origin``, which is always ``range(m)``: vertex i is edge i."""
 
     graph: MultiGraph
     origin: tuple[int, ...]

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from itline.cli import main
-from itline.families import fig1, star
+from itline.families import fig1, fig3, star
 from itline.graphcore import parse_edgelist, parse_graph6, to_edgelist, to_graph6
 
 from .conftest import connected_multigraphs
@@ -81,6 +81,18 @@ def test_index_star(capsys, tmp_path):
     assert set(payload["bounds"]) == {"thm_b1", "cor1", "cor2", "thm_b2", "stats", "unknowns"}
 
 
+def test_index_cross_check_obeys_timeout(capsys, tmp_path):
+    # Confirming hp(fig3(3,8)) = 5 directly means proving L^4 (362 vertices)
+    # not traceable, far beyond a one-second limit; the check must give up.
+    src = tmp_path / "fig3.txt"
+    src.write_text(to_edgelist(fig3(3, 8)))
+    code, out, _ = run(capsys, "index", "--cross-check", "--timeout", "1", "--in", str(src))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["hp"] == 5
+    assert payload["checks"]["hp_cross_check"]["status"] == "cap_exceeded"
+
+
 def test_index_of_path_reports_h_undefined(capsys, tmp_path):
     src = tmp_path / "p4.txt"
     src.write_text("4 3\n0 1\n1 2\n2 3\n")
@@ -140,6 +152,15 @@ def test_verify_main_writes_reports(capsys, tmp_path):
     assert summary["ok"] is True
     assert (outdir / "main.jsonl").exists()
     assert (outdir / "main.csv").exists()
+
+
+def test_verify_induction_honours_max_vertices(capsys):
+    # The 8 graphs of at most 4 vertices with at least 2 edges, not the
+    # default edge-cap-7 corpus.
+    code, out, _ = run(capsys, "verify", "--theorem", "induction", "--max-vertices", "4")
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["records"] == 8 and summary["ok"] is True
 
 
 def test_verify_bounds_quick(capsys):

@@ -1,5 +1,6 @@
 """Enumeration, canonical dedup, campaign records, and report plumbing."""
 
+import hashlib
 import json
 import pickle
 import random
@@ -301,6 +302,32 @@ def test_records_with_two_unknowns_report_the_first(corpus5):
         assert report.unknowns > 0 and report.mismatches == 0
         ops = {r["unknown"]["operation"] for r in report.records if "unknown" in r}
         assert ops <= first[report.name]
+
+
+# sha256 of the concatenated JSON lines of main (n=2), induction (k=2),
+# equivalence and bounds on the <= 5-vertex corpus, first at the default
+# budget and then at node_budget=3, as the campaigns wrote them when each
+# built its records by hand.
+REPORT_DIGEST = "06b72caeee637499283a01d1d558337f1eb970daef0f714bc64f46966e754e84"
+
+
+def test_reports_match_pinned_digest(corpus5):
+    big = [g for g in corpus5 if g.edge_count >= 3]
+    reports = [
+        report
+        for budget in (None, 3)
+        for report in (
+            verify_theorem_main(big, 2, node_budget=budget),
+            verify_theorem_induction(corpus5, 2, node_budget=budget),
+            run_equivalence_campaign(big, node_budget=budget),
+            run_bounds_campaign(corpus5, node_budget=budget),
+        )
+    ]
+    assert [(r.agreements, r.unknowns) for r in reports] == [
+        (28, 0), (29, 0), (28, 0), (31, 0), (0, 28), (0, 29), (2, 26), (10, 21),
+    ]
+    blob = "".join(r.json_lines() for r in reports).encode()
+    assert hashlib.sha256(blob).hexdigest() == REPORT_DIGEST
 
 
 def test_budget_env_override(monkeypatch):

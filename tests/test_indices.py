@@ -27,7 +27,6 @@ from itline.indices import (
     hamiltonian_index,
     hamiltonian_path_index,
     is_path_graph,
-    with_cross_check,
 )
 from itline.structure import MaxTrailResult, find_dominating_trail, max_trail
 
@@ -358,10 +357,3 @@ def test_cross_check_cap_exceeded():
     assert check.status == "confirmed"
     r2 = IndexResult(2, "EU-witness", "h")
     assert direct_index_cross_check(g, r2, build_cap=3).status == "cap_exceeded"
-
-
-def test_with_cross_check_attaches_result():
-    g = fig1()
-    r = with_cross_check(g, hamiltonian_path_index(g))
-    assert r.cross_check is not None
-    assert r.cross_check.status == "confirmed"
