@@ -256,47 +256,76 @@ def is_connected(g: MultiGraph) -> bool:
     return g.connected
 
 
-def bridges(g: MultiGraph) -> frozenset[int]:
-    """Edge ids whose removal splits their component.
+def bridge_tree(g: MultiGraph) -> tuple[list[int], list[int], list[int]]:
+    """G's bridge tree, from one iterative lowpoint DFS (Tarjan, 1974).
 
-    Iterative lowpoint DFS: the tree edge into ``w`` is a bridge iff no other
-    edge leads from ``w``'s subtree to a vertex discovered before ``w``.  The
-    edge the walk came in by is the only one skipped, by id, so each edge of
-    a parallel pair is a back edge for the other and neither is a bridge.
-    It walks edge ids, which the vertex masks of :func:`_flood` cannot tell
-    apart.
+    The tree edge into ``w`` is a bridge iff no other edge leads from
+    ``w``'s subtree to a vertex discovered before ``w``.  The edge the walk
+    came in by is the only one skipped, by id, so each edge of a parallel
+    pair is a back edge for the other and neither is a bridge.  Discovered
+    vertices wait on a stack until their piece closes: when the walk leaves
+    ``w`` over a bridge, the vertices above ``w`` on the stack are ``w``'s
+    2-edge-connected piece, and a root's piece closes when its walk ends.
+    So the pieces close children first, in the post-order of the tree.
+    Returns the pieces as vertex masks in that order, the index of each
+    vertex's piece, and each piece's bridge to its parent piece (-1 for a
+    root's).  It walks edge ids, which the vertex masks of :func:`_flood`
+    cannot tell apart.
     """
     n, inc, ends = g.vertex_count, g.incidence, g.ends
     disc = [-1] * n
     low = [0] * n
-    found: set[int] = set()
+    piece_of = [0] * n
+    pieces: list[int] = []
+    up: list[int] = []
+    waiting: list[int] = []
     clock = 0
     for root in range(n):
         if disc[root] >= 0:
             continue
         disc[root] = low[root] = clock
         clock += 1
-        stack = [(root, -1, iter(inc[root]))]
+        stack = [(root, -1, iter(inc[root]), 0)]
+        waiting.append(root)
         while stack:
-            v, via, steps = stack[-1]
+            v, via, steps, at = stack[-1]
             for eid in steps:
                 if eid == via:
                     continue
                 w = ends[eid] ^ v
-                if disc[w] < 0:
+                d = disc[w]
+                if d < 0:
                     disc[w] = low[w] = clock
                     clock += 1
-                    stack.append((w, eid, iter(inc[w])))
+                    stack.append((w, eid, iter(inc[w]), len(waiting)))
+                    waiting.append(w)
                     break
-                low[v] = min(low[v], disc[w])
+                if d < low[v]:
+                    low[v] = d
             else:
                 stack.pop()
                 if stack:
                     u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if low[v] > disc[u]:
-                        found.add(via)
-    return frozenset(found)
+                    if low[v] <= disc[u]:
+                        if low[v] < low[u]:
+                            low[u] = low[v]
+                        continue
+                else:
+                    via = -1
+                # ``via`` is a bridge or v is the root: v's piece closes.
+                i, mask = len(pieces), 0
+                for x in waiting[at:]:
+                    piece_of[x] = i
+                    mask |= 1 << x
+                del waiting[at:]
+                pieces.append(mask)
+                up.append(via)
+    return pieces, piece_of, up
+
+
+def bridges(g: MultiGraph) -> frozenset[int]:
+    """Edge ids whose removal splits their component: the edges of :func:`bridge_tree`."""
+    return frozenset(eid for eid in bridge_tree(g)[2] if eid >= 0)
 
 
 def diameter(g: MultiGraph) -> int:

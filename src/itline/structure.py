@@ -25,12 +25,18 @@ prunes keep the walk small, each exact by a one-line fact:
 
 The bridge tree (2-edge-connected pieces joined by bridges) serves twice,
 since a trail crosses each bridge at most once and so touches the pieces of
-one tree path.  :func:`max_trail` builds it once its first descent ends
-short of all n vertices: no trail beats the tree's best path, so the search
-stops at a trail that reaches it, and it prunes a trail that cannot beat
-the best even if it took the rest of its piece and the best tree path out
-of it.  A certificate settles some empty searches with no walk at all:
-:func:`bridge_tree_rules_out_trail` reads from one bridge pass that a
+one tree path.  Both uses read one iterative lowpoint DFS,
+:func:`~itline.graphcore.bridge_tree`, which finds the bridges and closes
+each piece as it leaves it by its bridge, so children close before parents.
+:func:`max_trail` builds the tree once its first descent ends short of all
+n vertices, and two passes over the pieces in that order value the tree's
+paths, keeping each piece's two best exits.  No trail beats the best path,
+so the search stops at a trail that reaches it, and it prunes a trail that
+cannot beat the best even if it took the rest of its piece and the best
+exit out of it that it has not used.  That exit is one of the two: a trail
+that ends in a piece entered it by at most one of its bridges.  A
+certificate settles some empty searches with no walk at all:
+:func:`bridge_tree_rules_out_trail` reads from the same DFS that a
 dominating trail would have to cross a bridge that it cannot (closed) or
 take three branches of the bridge tree at one piece (open).  The
 dominating-trail search itself does not consult it, since on the common
@@ -50,11 +56,10 @@ from .graphcore import (
     InputError,
     MultiGraph,
     Trail,
-    _split,
     _unchecked,
+    bridge_tree,
     bridges,
     is_connected,
-    mask_members,
     trivial_trail,
 )
 
@@ -268,79 +273,67 @@ def _walk_trails(
     return None
 
 
-def _bridge_pieces(g: MultiGraph, cut: frozenset[int]) -> tuple[list[int], list[int]]:
-    """G's 2-edge-connected pieces, given its bridges ``cut``.
-
-    The pieces are the components left once the bridges are cut: their
-    vertex masks by smallest member, and the index of each vertex's piece.
-    A bridge is the only edge between its ends.
-    """
-    edges = g.edges
-    nbr = list(g.neighbor_masks)
-    for eid in cut:
-        u, v = edges[eid]
-        nbr[u] ^= 1 << v
-        nbr[v] ^= 1 << u
-    pieces = _split(nbr, (1 << g.vertex_count) - 1)
-    piece_of = [0] * g.vertex_count
-    for i, piece in enumerate(pieces):
-        for x in mask_members(piece):
-            piece_of[x] = i
-    return pieces, piece_of
-
-
 def _bridge_tree_paths(
-    g: MultiGraph, cut: frozenset[int], v3_mask: int
-) -> tuple[list[int], list[list[tuple[int, int]]], int]:
+    g: MultiGraph, v3_mask: int
+) -> tuple[list[int] | None, list[tuple[tuple[int, int], tuple[int, int]]], int]:
     """Values of the paths of the bridge tree, which bound every trail of G.
 
     The tree's nodes are the 2-edge-connected pieces and its edges the
-    bridges ``cut``.  A trail crosses each bridge at most once, so the
-    pieces it touches lie on one path of the tree, and it covers no more
-    than their vertices.  A piece weighs ``count * (n + 1) + cov``, its
-    vertex count and degree->=3 count, so that sums order as (count, cov)
-    pairs do.  One pass from the leaves up to piece 0 and one back down (no
-    recursion) give each piece its exits: (the best value of a tree path
-    that leaves the piece by a bridge, that bridge), best first.  Returns,
-    for each vertex, the vertex mask of its piece and the piece's exits, and
-    the best value of any tree path.
+    bridges, all from one :func:`~itline.graphcore.bridge_tree` walk.  A
+    trail crosses each bridge at most once, so the pieces it touches lie on
+    one path of the tree, and it covers no more than their vertices.  A
+    piece weighs ``count * (n + 1) + cov``, its vertex count and degree->=3
+    count, so that sums order as (count, cov) pairs do.  An exit of a piece
+    is (the best value of a tree path that leaves the piece by a bridge,
+    that bridge).  The walk closes children before parents, so one pass in
+    its order hands each piece's best path down its subtree to its parent
+    as an exit, and one pass in reverse gives each piece its exit up, from
+    its parent's best exit by another bridge.  Each piece keeps only its two
+    best exits, best first, with ``(0, m)`` for a missing one (no edge has
+    id m, so no trail uses it).  Two are enough: a trail that ends in a
+    piece entered it by at most one of its bridges, so its best unused exit
+    is one of the two, and so is a parent's best exit by another bridge.
+    Returns, for each vertex, the vertex mask of its piece and the piece's
+    two exits, and the best value of any tree path; the masks are None when
+    G has no bridge.
     """
-    pieces, piece_of = _bridge_pieces(g, cut)
-    edges, scale = g.edges, g.vertex_count + 1
+    pieces, piece_of, up = bridge_tree(g)
+    scale, k = g.vertex_count + 1, len(pieces)
     weight = [p.bit_count() * scale + (p & v3_mask).bit_count() for p in pieces]
-    adj: list[list[tuple[int, int]]] = [[] for _ in pieces]
-    for eid in cut:
-        u, v = edges[eid]
-        a, b = piece_of[u], piece_of[v]
-        adj[a].append((eid, b))
-        adj[b].append((eid, a))
-    # A breadth-first order from piece 0, with each other piece's parent and
-    # the bridge into it from there.
-    order, parent, via = [0], [0] * len(pieces), [-1] * len(pieces)
-    for a in order:
-        for eid, b in adj[a]:
-            if eid != via[a]:
-                parent[b], via[b] = a, eid
-                order.append(b)
-    # below[b]: the best path that starts at b and stays in b's subtree.
-    below = weight[:]
-    for b in order[:0:-1]:
-        a = parent[b]
-        below[a] = max(below[a], weight[a] + below[b])
-    # Each piece's exits down; its exit up is added when its parent comes,
-    # from the parent's best other exit.
-    exits = [[(below[b], eid) for eid, b in adj[a] if eid != via[a]] for a in range(len(pieces))]
+    if k == 1:
+        return None, [], weight[0]
+    edges = g.edges
+    parent = [-1] * k
+    first = [(0, g.edge_count)] * k
+    second = first[:]
+    # Children first: a piece's exits down are all in when it comes.
+    for b, eid in enumerate(up):
+        if eid >= 0:
+            x, y = edges[eid]
+            # One end of the bridge lies in b, the other in its parent.
+            a = parent[b] = piece_of[x] ^ piece_of[y] ^ b
+            out = (weight[b] + first[b][0], eid)
+            if out > first[a]:
+                second[a] = first[a]
+                first[a] = out
+            elif out > second[a]:
+                second[a] = out
+    # Parents first: a parent has its exit up before its children read it.
+    # The best tree path leaves one of its end pieces by its best exit.
     best = 0
-    for a in order:
-        out = exits[a]
-        out.sort(reverse=True)
-        top, top_eid = out[0] if out else (0, -1)
-        second = out[1][0] if len(out) > 1 else 0
-        # The best tree path leaves one of its end pieces by its best exit.
-        best = max(best, weight[a] + top)
-        for eid, b in adj[a]:
-            if eid != via[a]:
-                exits[b].append((weight[a] + (second if eid == top_eid else top), eid))
+    for b in range(k - 1, -1, -1):
+        eid = up[b]
+        if eid >= 0:
+            a = parent[b]
+            top_value, top_eid = first[a]
+            out = (weight[a] + (second[a][0] if top_eid == eid else top_value), eid)
+            if out > first[b]:
+                second[b] = first[b]
+                first[b] = out
+            elif out > second[b]:
+                second[b] = out
+        best = max(best, weight[b] + first[b][0])
+    exits = list(zip(first, second))
     return [pieces[i] for i in piece_of], [exits[i] for i in piece_of], best
 
 
@@ -381,12 +374,14 @@ def max_trail(
       steps search for the reach.
     * The bridge-tree bound (:func:`_bridge_tree_paths`).  The first time
       the walk goes no deeper, its first descent having ended short of all
-      n vertices, one bridge pass builds the bridge tree, and the best value
-      of its paths becomes the stop.  A trail is then pruned when its own
-      count, plus the unvisited vertices of its end's piece, plus the best
-      exit from that piece by a bridge it has not used, cannot beat the
-      best.  On a graph with no bridge this is never below the reach bound,
-      so it is not applied there.
+      n vertices, one lowpoint DFS builds the bridge tree and two passes
+      over its pieces value its paths; the best value becomes the stop.  A
+      trail is then pruned when its own count, plus the unvisited vertices
+      of its end's piece, plus the best exit from that piece by a bridge it
+      has not used, cannot beat the best.  The trail has used at most one
+      bridge of that piece, so the exit is the first or the second of the
+      two the piece keeps.  On a graph with no bridge this bound is never
+      below the reach bound, so it is not applied there.
 
     Both bounds cut only subtrees that hold no strictly better trail, and
     the best changes only on a strictly better trail, so the witness is
@@ -399,7 +394,10 @@ def max_trail(
     n, m = g.vertex_count, g.edge_count
     inc, ends = g.incidence, g.ends
     v3_mask = sum(1 << v for v, ids in enumerate(inc) if len(ids) >= 3)
-    inc_mask = [sum(1 << eid for eid in inc[v]) for v in range(n)]
+    inc_mask = [0] * n
+    for eid, (x, y) in enumerate(g.edges):
+        inc_mask[x] |= 1 << eid
+        inc_mask[y] |= 1 << eid
     # A trail's key is count * scale + cov, which orders (count, cov) pairs.
     scale = n + 1
 
@@ -420,7 +418,7 @@ def max_trail(
     goal = n * scale + v3_mask.bit_count()
     descent: int | None = -1
     piece_at: list[int] | None = None
-    exits_at: list[list[tuple[int, int]]] = []
+    exits_at: list[tuple[tuple[int, int], tuple[int, int]]] = []
     # bounds[d]: (ub, whole) for the trail of d edges being expanded.  ``ub``
     # holds the trail's vertices and those reachable from its end over unused
     # edges: all of them when ``whole``, else more than the best count at the
@@ -463,18 +461,14 @@ def max_trail(
                 descent = depth
             else:
                 descent = None
-                cut = bridges(g)
-                if cut:
-                    piece_at, exits_at, goal = _bridge_tree_paths(g, cut, v3_mask)
-                    if best_key == goal:
-                        return _STOP
+                piece_at, exits_at, goal = _bridge_tree_paths(g, v3_mask)
+                if best_key == goal:
+                    return _STOP
         if piece_at is not None:
             rest = piece_at[v] & ~vmask
             ub_key = key + rest.bit_count() * scale + (rest & v3_mask).bit_count()
-            for value, eid in exits_at[v]:
-                if not used >> eid & 1:
-                    ub_key += value
-                    break
+            (top_value, top_eid), (second_value, _) = exits_at[v]
+            ub_key += second_value if used >> top_eid & 1 else top_value
             if ub_key <= best_key:
                 return _PRUNE
         best_count = best_key // scale
@@ -511,17 +505,16 @@ def bridge_tree_rules_out_trail(g: MultiGraph, closed: bool) -> bool:
     it touches lie on one path of the bridge tree, which meets each piece
     by at most two of its bridges; so a piece that meets three or more
     inner bridges rules it out.  False says nothing: the trail search
-    decides.  One :func:`bridges` pass; with three or more inner bridges,
-    also the pieces (:func:`_bridge_pieces`).
+    decides.  The bridges and the pieces come from one
+    :func:`~itline.graphcore.bridge_tree` walk.
     """
     inc, edges = g.incidence, g.edges
-    cut = bridges(g)
-    inner = [edges[eid] for eid in cut if all(len(inc[x]) >= 2 for x in edges[eid])]
+    _, piece_of, up = bridge_tree(g)
+    inner = [edges[eid] for eid in up if eid >= 0 and all(len(inc[x]) >= 2 for x in edges[eid])]
     if closed:
         return bool(inner)
     if len(inner) < 3:
         return False
-    _, piece_of = _bridge_pieces(g, cut)
     met = Counter(piece_of[x] for ends in inner for x in ends)
     return max(met.values()) >= 3
 

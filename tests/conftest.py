@@ -52,9 +52,10 @@ def multigraphs(draw, max_vertices: int = 6, max_edges: int = 10):
 
 
 @st.composite
-def doubled_multigraphs(draw, max_vertices: int = 6, max_edges: int = 10):
-    """``multigraphs`` (connected or not) with up to three edges doubled into parallel pairs."""
-    g = draw(multigraphs(max_vertices, max_edges))
+def doubled_multigraphs(draw, max_vertices: int = 6, max_edges: int = 10, base=None):
+    """Graphs drawn from ``base`` (by default ``multigraphs``, connected or
+    not) with up to three edges doubled into parallel pairs."""
+    g = draw(multigraphs(max_vertices, max_edges) if base is None else base)
     doubled = draw(st.lists(st.integers(min_value=0), max_size=3))
     if not g.edge_count:
         return g

@@ -4,8 +4,9 @@ Everything here deliberately avoids the package's own algorithms: adjacency
 straight from the edge list, distances via Floyd-Warshall, proximity from an
 all-pairs distance table, traceability via permutations or a Held-Karp
 subset dynamic program, branches via filtered path enumeration, pendent
-cycles and witness nonemptiness via raw subset enumeration.  These are the
-second route for every dual-checked result.
+cycles and witness nonemptiness via raw subset enumeration, bridge trees
+by edge deletion and pairwise tree paths.  These are the second route for
+every dual-checked result.
 """
 
 from __future__ import annotations
@@ -281,6 +282,73 @@ def brute_has_dominating_trail(g: MultiGraph, closed: bool) -> bool:
         if all(u in visited or v in visited for u, v in g.edges):
             return True
     return False
+
+
+def _components(n: int, edges) -> list[frozenset[int]]:
+    """Vertex classes of ``edges`` on ``range(n)``, merged one edge at a time."""
+    classes = {v: frozenset([v]) for v in range(n)}
+    for u, v in edges:
+        merged = classes[u] | classes[v]
+        for x in merged:
+            classes[x] = merged
+    return sorted(set(classes.values()), key=min)
+
+
+def brute_bridge_tree(g: MultiGraph):
+    """(bridges, pieces, each piece's sorted exits, best tree-path value), by deletion.
+
+    An edge is a bridge when deleting it leaves more components, and the
+    pieces are the components left once every bridge is deleted.  A piece
+    weighs ``count * (n + 1) + cov``, its vertices and its vertices of degree
+    >= 3, and a path of the bridge tree the sum of its pieces' weights.  The
+    best value is the largest over all pairs of pieces of the path between
+    them.  Piece P's exits are, for each bridge at P, the best value of a
+    path that starts at P's neighbour across that bridge and does not come
+    back to P, paired with the bridge, all of them, in descending order.
+    """
+    n, edges = g.vertex_count, g.edges
+    count = len(_components(n, edges))
+    cut = {eid for eid in range(len(edges))
+           if len(_components(n, edges[:eid] + edges[eid + 1:])) > count}
+    pieces = _components(n, [e for eid, e in enumerate(edges) if eid not in cut])
+    home = {x: p for p in pieces for x in p}
+    degree = [sum(x in e for e in edges) for x in range(n)]
+    weight = {p: len(p) * (n + 1) + sum(degree[x] >= 3 for x in p) for p in pieces}
+    links = {p: [] for p in pieces}
+    for eid in cut:
+        u, v = edges[eid]
+        links[home[u]].append((home[v], eid))
+        links[home[v]].append((home[u], eid))
+
+    def path_to(a, b):
+        """The pieces on the tree path from a to b (None if unjoined), and its first bridge."""
+        stack = [(a, [a], None)]
+        seen = {a}
+        while stack:
+            p, route, first = stack.pop()
+            if p == b:
+                return route, first
+            for q, eid in links[p]:
+                if q not in seen:
+                    seen.add(q)
+                    stack.append((q, route + [q], eid if first is None else first))
+        return None, None
+
+    best = 0
+    exits = {p: {} for p in pieces}
+    for a in pieces:
+        for b in pieces:
+            route, first = path_to(a, b)
+            if route is None:
+                continue
+            value = sum(weight[p] for p in route)
+            best = max(best, value)
+            if first is not None:
+                out = value - weight[a]
+                exits[a][first] = max(exits[a].get(first, 0), out)
+    sorted_exits = {p: sorted(((v, eid) for eid, v in out.items()), reverse=True)
+                    for p, out in exits.items()}
+    return cut, pieces, sorted_exits, best
 
 
 def trail_along_order(g: MultiGraph, order, closed: bool = False) -> tuple[tuple[int, ...], tuple[int, ...]]:

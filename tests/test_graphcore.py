@@ -17,6 +17,7 @@ from itline.graphcore import (
     _flood,
     all_pairs_distances,
     bfs_distances,
+    bridge_tree,
     bridges,
     connected_components,
     diameter,
@@ -38,6 +39,7 @@ from itline.graphcore import (
 
 from .conftest import doubled_multigraphs, multigraphs, simple_graphs
 from .oracles import (
+    brute_bridge_tree,
     brute_subgraph_distance,
     floyd_warshall,
     layered_reach,
@@ -263,16 +265,22 @@ def test_bridges_of_named_graphs():
 
 @given(doubled_multigraphs(max_vertices=6, max_edges=9))
 def test_bridges_match_edge_deletion(g):
-    # Dual route: an edge is a bridge iff deleting it leaves more components.
+    # Dual route: an edge is a bridge iff deleting it leaves more components,
+    # and the pieces are the components left once every bridge is deleted.
     # Doubling some edges makes parallel pairs, which are never bridges.
-    count = len(connected_components(g))
-    brute = {
-        eid
-        for eid in range(g.edge_count)
-        if len(connected_components(MultiGraph(g.vertex_count, g.edges[:eid] + g.edges[eid + 1:])))
-        > count
-    }
-    assert bridges(g) == brute
+    # Each piece but a root's names its bridge to a parent that closes later.
+    cut, brute_pieces, _, _ = brute_bridge_tree(g)
+    assert bridges(g) == cut
+    pieces, piece_of, up = bridge_tree(g)
+    members = [frozenset(x for x in range(g.vertex_count) if p >> x & 1) for p in pieces]
+    assert sorted(members, key=min) == brute_pieces
+    assert all(v in members[piece_of[v]] for v in range(g.vertex_count))
+    assert {eid for eid in up if eid >= 0} == cut
+    assert len(up) - len(cut) == len(connected_components(g))
+    for b, eid in enumerate(up):
+        if eid >= 0:
+            x, y = g.edges[eid]
+            assert b == min(piece_of[x], piece_of[y]) < max(piece_of[x], piece_of[y])
 
 
 def test_incident_edges_whole_graph():

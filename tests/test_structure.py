@@ -15,12 +15,15 @@ from itline.families import complete, cycle, fig1, fig2, fig3, fig4b, path, star
 from itline.graphcore import (
     DisconnectedGraphError,
     MultiGraph,
+    Trail,
+    bridge_tree,
     bridges,
     diameter,
     trail_vertex_set,
     validate_trail,
 )
 from itline.structure import (
+    MaxTrailResult,
     _bridge_tree_paths,
     branches,
     branches_b1,
@@ -45,6 +48,7 @@ from .conftest import (
 )
 from .oracles import (
     brute_branches,
+    brute_bridge_tree,
     brute_has_dominating_trail,
     brute_max_trail_stats,
     brute_pendent_cycles,
@@ -281,11 +285,50 @@ def test_max_trail_witnesses_match_pinned_digest(corpus6):
     assert hashlib.sha256(blob).hexdigest() == MAX_TRAIL_DIGEST
 
 
+def _v3_mask(g):
+    return sum(1 << v for v in range(g.vertex_count) if g.degree(v) >= 3)
+
+
 def _tree_bound(g):
     """The bridge tree's best path value, as (vertices, degree->=3 vertices)."""
-    v3_mask = sum(1 << v for v in range(g.vertex_count) if g.degree(v) >= 3)
-    *_, best = _bridge_tree_paths(g, bridges(g), v3_mask)
+    *_, best = _bridge_tree_paths(g, _v3_mask(g))
     return divmod(best, g.vertex_count + 1)
+
+
+def _check_bridge_tree_paths(g):
+    # The one-pass tree against edge deletion and brute-force tree paths: the
+    # same pieces, the same best value and each piece's first two exits.
+    cut, pieces, exits, best = brute_bridge_tree(g)
+    piece_at, exits_at, got = _bridge_tree_paths(g, _v3_mask(g))
+    assert got == best
+    if not cut:
+        assert piece_at is None
+        return
+    for v in range(g.vertex_count):
+        piece = frozenset(x for x in range(g.vertex_count) if piece_at[v] >> x & 1)
+        assert v in piece and piece in pieces
+        assert [out for out in exits_at[v] if out[0]] == exits[piece][:2]
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.one_of(
+        doubled_multigraphs(base=connected_multigraphs(max_vertices=8, max_extra_edges=3)),
+        connected_multigraphs(max_vertices=10, max_extra_edges=0),
+        attached_cycle_graphs(),
+        brooms(),
+    )
+)
+def test_bridge_tree_paths_match_brute_force(g):
+    _check_bridge_tree_paths(g)
+
+
+def test_bridge_tree_paths_on_figures_and_corpus(corpus6):
+    figures = [fig1(), fig2(1), fig2(2), fig2(3), fig3(1, 6), fig3(2, 7), fig3(3, 8),
+               fig4b(1), fig4b(2)]
+    rng = random.Random(17)
+    for g in corpus6 + figures + [relabeled_copy(g, rng) for g in figures]:
+        _check_bridge_tree_paths(g)
 
 
 @settings(deadline=None)
@@ -311,12 +354,40 @@ def test_bridge_pass_waits_for_a_dead_end(monkeypatch):
     # The bridge tree is built only once the first descent ends short of all
     # n vertices, so K5 (still 7 nodes, see above) and path(1500) make no pass.
     calls = []
-    monkeypatch.setattr(structure, "bridges", lambda g: calls.append(g) or bridges(g))
+    monkeypatch.setattr(structure, "bridge_tree", lambda g: calls.append(g) or bridge_tree(g))
     assert max_trail(complete(5)).mt_star == 5
     assert max_trail(path(1500)).mt_star == 1500
     assert not calls
     assert max_trail(fig3(1, 6)).mt_star == 13
     assert len(calls) == 1
+
+
+def test_long_inputs_get_an_answer():
+    # Iterative walks throughout: no call may raise, RecursionError included.
+    # The open dominating search at the default budget is left out: on the
+    # caterpillar it takes ~10 s.
+    caterpillar = MultiGraph(2000, path(1000).edges + tuple((i, 1000 + i) for i in range(1000)))
+    chained = []  # 1,000 triangles, each joined to the next by a bridge
+    for a in range(0, 3000, 3):
+        chained += [(a, a + 1), (a + 1, a + 2), (a + 2, a)] + [(a - 1, a)] * (a > 0)
+    cases = (
+        (path(5000), 4999),
+        (cycle(5000), 0),
+        (caterpillar, 1999),
+        (MultiGraph(3000, tuple(chained)), 999),
+    )
+    for g, bridge_count in cases:
+        assert len(bridges(g)) == bridge_count
+        for closed in (False, True):
+            assert isinstance(bridge_tree_rules_out_trail(g, closed), bool)
+        mt = max_trail(g)
+        assert not isinstance(mt, Unknown)
+        validate_trail(g, mt.trail)
+        assert mt.mt_star == len(trail_vertex_set(mt.trail))
+        assert isinstance(max_trail(g, node_budget=1000), (MaxTrailResult, Unknown))
+        for closed in (False, True):
+            found = find_dominating_trail(g, closed, node_budget=1000)
+            assert found is None or isinstance(found, (Trail, Unknown))
 
 
 # --- dominating trails ------------------------------------------------------
