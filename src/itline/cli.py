@@ -39,7 +39,7 @@ from .indices import (
     hamiltonian_index,
     hamiltonian_path_index,
 )
-from .linegraph import iterated_line_graph, line_graph
+from .linegraph import iterated_line_graph
 from . import families
 
 
@@ -110,11 +110,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_linegraph(args) -> int:
     g = _read_graph(args)
-    if args.iterate == 1:
-        out = line_graph(g).graph
-    else:
-        out = iterated_line_graph(g, args.iterate, cap=args.cap)
-    _write_graph(out, args.format)
+    _write_graph(iterated_line_graph(g, args.iterate, cap=args.cap), args.format)
     return 0
 
 
@@ -181,18 +177,21 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _load_corpus(args) -> list[MultiGraph]:
+def _load_corpus(args, floor: int = 0) -> list[MultiGraph]:
+    """The corpus of the first given of ``--in``, ``--max-edges``, ``--max-vertices``,
+    less its graphs of fewer than ``max(floor, --min-edges)`` edges."""
     if args.in_path:
         graphs = []
         for line in _read_text(args.in_path).splitlines():
             line = line.strip()
             if line:
                 graphs.append(parse_graph6(line))
-        return graphs
-    if args.max_edges is not None:
-        return corpus_by_edge_cap(args.max_edges, min_edges=args.min_edges)
-    max_vertices = 6 if args.max_vertices is None else args.max_vertices
-    return corpus_graphs(max_vertices, min_edges=args.min_edges)
+    elif args.max_edges is not None:
+        graphs = corpus_by_edge_cap(args.max_edges)
+    else:
+        graphs = corpus_graphs(6 if args.max_vertices is None else args.max_vertices)
+    least = max(floor, args.min_edges)
+    return [g for g in graphs if g.edge_count >= least]
 
 
 def _cmd_corpus(args) -> int:
@@ -218,18 +217,18 @@ def _emit_report(report: CampaignReport, args) -> int:
 def _cmd_verify(args) -> int:
     common = dict(node_budget=args.budget, time_limit=args.timeout, workers=args.workers)
     if args.theorem == "main":
-        corpus = [g for g in _load_corpus(args) if g.edge_count >= 3]
+        corpus = _load_corpus(args, floor=3)
         report = verify_theorem_main(corpus, args.n, **common)
     elif args.theorem == "induction":
         if args.in_path is None and args.max_edges is None and args.max_vertices is None:
             args.max_edges = 7
-        corpus = [g for g in _load_corpus(args) if g.edge_count >= 2]
+        corpus = _load_corpus(args, floor=2)
         report = verify_theorem_induction(corpus, args.k, **common)
     elif args.theorem == "bounds":
         corpus = _load_corpus(args)
         report = run_bounds_campaign(corpus, **common)
     elif args.theorem == "equivalence":
-        corpus = [g for g in _load_corpus(args) if g.edge_count >= 3]
+        corpus = _load_corpus(args, floor=3)
         report = run_equivalence_campaign(corpus, **common)
     elif args.theorem == "families":
         report = run_family_suite(node_budget=args.budget, time_limit=args.timeout)
@@ -285,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("linegraph", help="apply the line-graph operator")
     p.add_argument("--iterate", type=int, default=1)
-    p.add_argument("--cap", type=int, default=5000, help="vertex cap for intermediates")
+    p.add_argument("--cap", type=int, default=5000, help="vertex cap for every level built")
     _add_graph_input(p, output_format=True)
     p.set_defaults(fn=_cmd_linegraph)
 

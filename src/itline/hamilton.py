@@ -28,7 +28,6 @@ from .graphcore import (
     MultiGraph,
     Trail,
     _flood,
-    _neighbor_lists,
     is_connected,
     mask_members,
     trail_from_order,
@@ -106,9 +105,7 @@ def _search(g: MultiGraph, cycle: bool, budget: Budget) -> tuple[int, ...] | Non
         if order is not None:
             return order
         if nbrs is None:
-            # Distinct neighbours: the far ends of the edges unless some are parallel.
-            simple = sum(m.bit_count() for m in adj) == 2 * g.edge_count
-            nbrs = _neighbor_lists(g) if simple else [mask_members(m) for m in adj]
+            nbrs = [mask_members(m) for m in adj]
         order = _search_from(start, nbrs, adj, cycle, budget)
         if order is not None:
             return order
@@ -275,14 +272,6 @@ def has_hamiltonian_cycle(
 # Lifting dominating trails into the line graph
 
 
-def _check_dominating(g: MultiGraph, t: Trail) -> None:
-    validate_trail(g, t)
-    on_trail = set(t.vertices)
-    for eid, (u, v) in enumerate(g.edges):
-        if u not in on_trail and v not in on_trail:
-            raise InputError(f"trail is not dominating: edge {eid}=({u},{v}) untouched")
-
-
 def _splice(g: MultiGraph, t: Trail) -> list[int]:
     """Line-graph vertex sequence of a dominating trail of ``g``.
 
@@ -309,17 +298,27 @@ def _splice(g: MultiGraph, t: Trail) -> list[int]:
     return seq
 
 
+def _lift(g: MultiGraph, t: Trail, closed: bool) -> Trail:
+    """The splice of a dominating trail as a verified hamiltonian path (cycle) of L(G)."""
+    validate_trail(g, t)
+    on_trail = set(t.vertices)
+    for eid, (u, v) in enumerate(g.edges):
+        if u not in on_trail and v not in on_trail:
+            raise InputError(f"trail is not dominating: edge {eid}=({u},{v}) untouched")
+    seq = tuple(_splice(g, t))
+    lg = line_graph(g).graph
+    verify, kind = (is_hamiltonian_cycle, "cycle") if closed else (is_hamiltonian_path, "path")
+    if not verify(lg, seq):
+        raise GraphError(f"internal: lifted sequence is not a hamiltonian {kind}")
+    return trail_from_order(lg, seq, closed=closed)
+
+
 def lift_trail_to_path(g: MultiGraph, t: Trail) -> Trail:
     """Hamiltonian path of the line graph built from a dominating trail of ``g``.
 
     The result is verified before being returned.
     """
-    _check_dominating(g, t)
-    seq = _splice(g, t)
-    lg = line_graph(g).graph
-    if not is_hamiltonian_path(lg, tuple(seq)):
-        raise GraphError("internal: lifted sequence is not a hamiltonian path")
-    return trail_from_order(lg, seq)
+    return _lift(g, t, closed=False)
 
 
 def lift_closed_trail_to_cycle(g: MultiGraph, t: Trail) -> Trail:
@@ -328,9 +327,4 @@ def lift_closed_trail_to_cycle(g: MultiGraph, t: Trail) -> Trail:
         raise InputError("lift_closed_trail_to_cycle requires a closed trail")
     if g.edge_count < 3:
         raise InputError("cycle lift requires at least three edges")
-    _check_dominating(g, t)
-    seq = _splice(g, t)
-    lg = line_graph(g).graph
-    if not is_hamiltonian_cycle(lg, tuple(seq)):
-        raise GraphError("internal: lifted sequence is not a hamiltonian cycle")
-    return trail_from_order(lg, seq, closed=True)
+    return _lift(g, t, closed=True)

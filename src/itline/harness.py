@@ -172,17 +172,15 @@ def enumerate_trees(n: int) -> list[MultiGraph]:
     return [graph_from_key(key) for key in keys]
 
 
-def corpus_graphs(max_vertices: int, *, min_edges: int = 0) -> list[MultiGraph]:
+def corpus_graphs(max_vertices: int) -> list[MultiGraph]:
     """Connected simple graphs with 1..max_vertices vertices, one per class."""
     out = []
     for n in range(1, max_vertices + 1):
-        for g in enumerate_connected_graphs(n):
-            if g.edge_count >= min_edges:
-                out.append(g)
+        out.extend(enumerate_connected_graphs(n))
     return out
 
 
-def corpus_by_edge_cap(max_edges: int, *, min_edges: int = 0) -> list[MultiGraph]:
+def corpus_by_edge_cap(max_edges: int) -> list[MultiGraph]:
     """All connected simple graphs with at most ``max_edges`` edges.
 
     A connected graph on n vertices needs n-1 edges, so vertex counts run up
@@ -196,10 +194,8 @@ def corpus_by_edge_cap(max_edges: int, *, min_edges: int = 0) -> list[MultiGraph
         )
     out = []
     for n in range(1, max_edges + 1):
-        for g in enumerate_connected_graphs(n, max_edges=max_edges):
-            if g.edge_count >= min_edges:
-                out.append(g)
-    if max_edges >= max(min_edges, 0):
+        out.extend(enumerate_connected_graphs(n, max_edges=max_edges))
+    if max_edges >= 0:
         out.extend(enumerate_trees(max_edges + 1))
     return out
 

@@ -322,6 +322,8 @@ def direct_index_cross_check(
             return CrossCheck(
                 "mismatch", f"level {claimed.value} does not satisfy the {claimed.kind} target"
             )
+        if not claimed.value:
+            return CrossCheck("confirmed", "level 0 behaves as claimed")
         return CrossCheck("confirmed", f"levels {claimed.value - 1},{claimed.value} behave as claimed")
     except CapExceededError as exc:
         return CrossCheck("cap_exceeded", str(exc))

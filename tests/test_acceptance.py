@@ -13,7 +13,7 @@ import pytest
 from itline.budget import Unknown
 from itline.eup import VARIANT_EU, VARIANT_EUP, check_conditions, find_witness
 from itline.families import fig1, fig2, fig3, fig4b
-from itline.graphcore import Trail, trail_vertex_set
+from itline.graphcore import Trail
 from itline.hamilton import (
     has_hamiltonian_cycle,
     has_hamiltonian_path,
@@ -54,7 +54,7 @@ def test_criterion_1_fig1_exactness():
     assert found is not None and not isinstance(found, Unknown)
     # The full bottom path is the named dominating trail; lift it.
     bottom = Trail(tuple(range(11)), tuple(range(10)), False)
-    assert dominates(g, trail_vertex_set(bottom))
+    assert dominates(g, set(bottom.vertices))
     lifted = lift_trail_to_path(g, bottom)
     assert is_hamiltonian_path(line_graph(g).graph, lifted.vertices)
     assert hamiltonian_path_index(g).value == 1

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from itline.cli import main
 from itline.families import fig1, fig3, star
 from itline.graphcore import parse_edgelist, parse_graph6, to_edgelist, to_graph6
+from itline.linegraph import line_graph
 
 from .conftest import connected_multigraphs
 from .oracles import is_isomorphic
@@ -54,6 +55,17 @@ def test_linegraph_iterate(capsys, tmp_path):
     assert code == 0
     lg = parse_graph6(out.strip())
     assert lg.vertex_count == 3 and lg.edge_count == 2
+
+
+def test_linegraph_cap_holds_at_level_one(capsys, tmp_path):
+    # L(fig1) has one vertex per edge of fig1: 13, over a cap of 2.
+    src = tmp_path / "fig1.txt"
+    src.write_text(to_edgelist(fig1()))
+    code, out, err = run(capsys, "linegraph", "--iterate", "1", "--cap", "2", "--in", str(src))
+    assert code == 2 and out == ""
+    assert err == "error: line-graph iteration stopped at level 1: 13 vertices exceeds cap 2\n"
+    code, out, _ = run(capsys, "linegraph", "--iterate", "1", "--in", str(src))
+    assert code == 0 and parse_edgelist(out) == line_graph(fig1()).graph
 
 
 def test_check_eup_fig1(capsys, tmp_path):
@@ -120,7 +132,13 @@ def test_corpus_emission_and_ingestion(capsys, tmp_path):
     corpus_file.write_text(out)
     code, out2, _ = run(capsys, "verify", "--theorem", "main", "--in", str(corpus_file))
     assert code == 0
-    assert json.loads(out2)["mismatches"] == 0
+    # The 7 graphs with at least 3 edges: the floor applies to --in as well.
+    assert json.loads(out2)["mismatches"] == 0 and json.loads(out2)["records"] == 7
+    # --min-edges filters a corpus read back through --in like a generated one:
+    # the 4-cycle, the paw, the diamond and K4.
+    code, out3, _ = run(capsys, "corpus", "--in", str(corpus_file), "--min-edges", "4")
+    assert code == 0 and len(out3.splitlines()) == 4
+    assert out3 == run(capsys, "corpus", "--max-vertices", "4", "--min-edges", "4")[1]
 
 
 def test_corpus_by_edge_cap_prints_canonical_graph6(capsys, monkeypatch, corpus_edges7):
@@ -129,8 +147,8 @@ def test_corpus_by_edge_cap_prints_canonical_graph6(capsys, monkeypatch, corpus_
     import itline.cli
     from itline.harness import graph_id
 
-    def cached(max_edges, *, min_edges=0):
-        assert (max_edges, min_edges) == (7, 0)
+    def cached(max_edges):
+        assert max_edges == 7
         return corpus_edges7
 
     monkeypatch.setattr(itline.cli, "corpus_by_edge_cap", cached)

@@ -329,14 +329,16 @@ def test_cross_check_confirms_star():
 
 def test_cross_check_confirms_traceable_path():
     r = hamiltonian_path_index(path(6))
-    assert direct_index_cross_check(path(6), r).status == "confirmed"
+    check = direct_index_cross_check(path(6), r)
+    assert (check.status, check.detail) == ("confirmed", "level 0 behaves as claimed")
 
 
 def test_cross_check_confirms_fig2_level2():
     g = fig2(2)
     r = hamiltonian_path_index(g)
     assert r.value == 2
-    assert direct_index_cross_check(g, r).status == "confirmed"
+    check = direct_index_cross_check(g, r)
+    assert (check.status, check.detail) == ("confirmed", "levels 1,2 behave as claimed")
     rh = hamiltonian_index(g)
     assert direct_index_cross_check(g, rh).status == "confirmed"
 

@@ -19,7 +19,6 @@ from itline.graphcore import (
     bridge_tree,
     bridges,
     diameter,
-    trail_vertex_set,
     validate_trail,
 )
 from itline.structure import (
@@ -216,7 +215,7 @@ def test_dominating_trail_existence_matches_enumeration(g):
 def test_max_trail_witness_consistency(g):
     mt = max_trail(g)
     validate_trail(g, mt.trail)
-    visited = trail_vertex_set(mt.trail)
+    visited = set(mt.trail.vertices)
     v3 = {v for v in range(g.vertex_count) if g.degree(v) >= 3}
     assert mt.mt_star == len(visited)
     assert mt.d3_star == len(v3 - visited)
@@ -383,7 +382,7 @@ def test_long_inputs_get_an_answer():
         mt = max_trail(g)
         assert not isinstance(mt, Unknown)
         validate_trail(g, mt.trail)
-        assert mt.mt_star == len(trail_vertex_set(mt.trail))
+        assert mt.mt_star == len(set(mt.trail.vertices))
         assert isinstance(max_trail(g, node_budget=1000), (MaxTrailResult, Unknown))
         for closed in (False, True):
             found = find_dominating_trail(g, closed, node_budget=1000)
@@ -397,7 +396,7 @@ def test_dominating_trail_fig1_exists_and_bottom_path_dominates():
     g = fig1()
     found = find_dominating_trail(g, closed=False)
     assert found is not None and not isinstance(found, Unknown)
-    assert dominates(g, trail_vertex_set(found))
+    assert dominates(g, set(found.vertices))
     # The full bottom path is itself a dominating trail.
     assert dominates(g, set(range(11)))
 
@@ -443,7 +442,7 @@ def test_dominating_trail_witness_dominates(g):
     if t is None or isinstance(t, Unknown):
         return
     validate_trail(g, t)
-    assert dominates(g, trail_vertex_set(t))
+    assert dominates(g, set(t.vertices))
 
 
 @settings(deadline=None)
@@ -454,7 +453,7 @@ def test_dominating_closed_trail_is_closed_and_dominates(g):
         return
     validate_trail(g, t)
     assert t.closed
-    assert dominates(g, trail_vertex_set(t))
+    assert dominates(g, set(t.vertices))
 
 
 # --- the bridge-tree certificate --------------------------------------------
