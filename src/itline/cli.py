@@ -51,18 +51,12 @@ def _read_text(path: str) -> str:
 
 
 def _read_graph(args) -> MultiGraph:
-    if args.in_path:
-        text = _read_text(args.in_path)
-        fmt = args.in_format or ("g6" if args.in_path.endswith((".g6", ".graph6")) else None)
-    else:
-        text = sys.stdin.read()
-        fmt = args.in_format
-    if fmt is None:
-        head = text.lstrip()[:1]
-        fmt = "edgelist" if head.isdigit() else "g6"
-    if fmt in ("g6", "graph6"):
-        return parse_graph6((text.strip().splitlines() or [""])[0])
-    return parse_edgelist(text)
+    """The graph of ``--in`` or stdin: edge-list text starts with its ``n m``
+    header, and graph6 never starts with a digit (its bytes are 63-126)."""
+    text = _read_text(args.in_path) if args.in_path else sys.stdin.read()
+    if text.lstrip()[:1].isdigit():
+        return parse_edgelist(text)
+    return parse_graph6((text.strip().splitlines() or [""])[0])
 
 
 def _print_json(payload: dict) -> None:
@@ -238,10 +232,8 @@ def _cmd_verify(args) -> int:
 
 
 def _add_graph_input(p: argparse.ArgumentParser, *, output_format: bool = False) -> None:
-    p.add_argument("--in", dest="in_path", default=None, help="graph file (edgelist or .g6)")
-    p.add_argument("--in-format", dest="in_format", default=None,
-                   choices=["edgelist", "g6", "graph6"],
-                   help="input format (default: detect)")
+    p.add_argument("--in", dest="in_path", default=None,
+                   help="graph file, edge list or graph6 by its first byte (default: stdin)")
     if output_format:
         p.add_argument("--format", default=None,
                        choices=["edgelist", "g6", "graph6", "json"])

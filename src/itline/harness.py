@@ -45,7 +45,7 @@ from .indices import (
     hamiltonian_index,
     hamiltonian_path_index,
 )
-from .linegraph import line_graph
+from .linegraph import CapExceededError, EdgelessGraphError, iterated_line_graph, line_graph
 from .structure import branches, find_dominating_trail, max_trail
 
 ENUMERATION_VERTEX_LIMIT = 7
@@ -293,35 +293,33 @@ def _campaign(name: str, params: dict, record: Callable[..., dict],
 # Campaign: witness nonemptiness vs iterated traceability
 
 
-def _line_graph_power(g: MultiGraph, j: int) -> MultiGraph:
-    """L^j(g), or the first edgeless level before it."""
-    for _ in range(j):
-        if g.edge_count == 0:
-            break
-        g = line_graph(g).graph
-    return g
-
-
 def _traceable_truth(
-    base: MultiGraph, node_budget: int | None, time_limit: float | None
-) -> tuple[bool | None, str, Unknown | None]:
-    """``iterated_traceable_truth`` from level n-1, ``base``."""
-    if base.edge_count == 0:
-        # Level n-1 is a single vertex; the next line graph does not exist,
-        # and a 1-vertex graph is trivially traceable at level n-1 already.
-        return True, "degenerate-tiny", None
+    g: MultiGraph, n: int, node_budget: int | None, time_limit: float | None
+) -> tuple[bool | None, str, Unknown | None, MultiGraph | None]:
+    """``iterated_traceable_truth``, and the level n-1 it searched a trail on, if any."""
+    try:
+        base = g if n == 1 else iterated_line_graph(g, n - 1)
+    except EdgelessGraphError:
+        base = None
+    except CapExceededError as exc:
+        # Level n-1 has over 5,000 vertices, so at least 3 edges: the trail route.
+        return None, "dominating-trail", Unknown("iterated_line_graph", 0, str(exc)), None
+    if base is None or base.edge_count == 0:
+        # A level up to n-1 is a single vertex; the next line graph does not
+        # exist, and a 1-vertex graph is trivially traceable already.
+        return True, "degenerate-tiny", None, None
     if base.edge_count < 3:
         final = line_graph(base).graph
         answer = has_hamiltonian_path(final, node_budget=node_budget, time_limit=time_limit)
         if isinstance(answer, Unknown):
-            return None, "direct-oracle", answer
-        return answer.value, "direct-oracle", None
+            return None, "direct-oracle", answer, None
+        return answer.value, "direct-oracle", None, None
     trail = find_dominating_trail(
         base, closed=False, node_budget=node_budget, time_limit=time_limit
     )
     if isinstance(trail, Unknown):
-        return None, "dominating-trail", trail
-    return trail is not None, "dominating-trail", None
+        return None, "dominating-trail", trail, base
+    return trail is not None, "dominating-trail", None, base
 
 
 def iterated_traceable_truth(
@@ -333,13 +331,15 @@ def iterated_traceable_truth(
 ) -> tuple[bool | None, str, Unknown | None]:
     """Ground truth for "the n-th iterated line graph is traceable".
 
-    Route: build level n-1 and search it for a dominating trail (one final
-    line-graph step is equivalent to that).  Tiny intermediate graphs fall
-    back to the direct oracle on level n.  Returns (value, route, unknown).
+    Route: build level n-1 with ``iterated_line_graph`` at its default cap
+    and search it for a dominating trail (one final line-graph step is
+    equivalent to that).  Tiny intermediate graphs fall back to the direct
+    oracle on level n; an edgeless level before n is ``degenerate-tiny``,
+    and a level over the cap gives an Unknown.  Returns (value, route, unknown).
     """
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
-    return _traceable_truth(_line_graph_power(g, n - 1), node_budget, time_limit)
+    return _traceable_truth(g, n, node_budget, time_limit)[:3]
 
 
 def _main_record(
@@ -351,18 +351,13 @@ def _main_record(
 ) -> dict:
     witness = find_witness(g, n, VARIANT_EUP, node_budget=node_budget, time_limit=time_limit)
     found = None if isinstance(witness, Unknown) else witness is not None
-    base = _line_graph_power(g, n - 1)
-    truth, route, truth_unknown = _traceable_truth(base, node_budget, time_limit)
+    truth, route, truth_unknown, base = _traceable_truth(g, n, node_budget, time_limit)
     # Opportunistic direct cross-check of a dominating-trail truth, on
     # L^n(G) = L(base) when it has few enough vertices (one per edge of
     # base).  A direct-oracle truth already is that check.  It always runs
     # on the default budget, ``cross_budget``, whatever ``node_budget`` is.
     cross_check = "skipped"
-    if (
-        route == "dominating-trail"
-        and truth is not None
-        and base.edge_count <= CROSS_CHECK_MAX_VERTICES
-    ):
+    if base is not None and truth is not None and base.edge_count <= CROSS_CHECK_MAX_VERTICES:
         direct = has_hamiltonian_path(line_graph(base).graph, node_budget=cross_budget)
         if not isinstance(direct, Unknown):
             cross_check = "agree" if direct.value == truth else "conflict"

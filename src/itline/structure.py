@@ -123,10 +123,9 @@ def _branch_walk(g: MultiGraph):
                 e1, e2 = inc[nxt]
                 cur_e = e2 if e1 == cur_e else e1
                 cur_v = nxt
+            # An open branch runs from its smaller end: its larger end, walked
+            # later, finds the branch's edges used.
             closed = verts[0] == verts[-1]
-            if not closed and verts[0] > verts[-1]:
-                verts.reverse()
-                eids.reverse()
             found.append(
                 Branch(
                     tuple(verts),

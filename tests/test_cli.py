@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from itline.cli import main
-from itline.families import fig1, fig3, star
+from itline.families import complete, fig1, fig3, star
 from itline.graphcore import parse_edgelist, parse_graph6, to_edgelist, to_graph6
 from itline.linegraph import line_graph
 
@@ -36,6 +36,9 @@ def test_gen_graph6_output(capsys):
     code, out, _ = run(capsys, "gen", "star", "3", "--format", "g6")
     assert code == 0
     assert is_isomorphic(parse_graph6(out.strip()), star(3))
+    code, out, _ = run(capsys, "gen", "star", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"vertices": 4, "edges": [[0, 1], [0, 2], [0, 3]]}
 
 
 def test_gen_two_cycle_and_param_errors(capsys):
@@ -80,6 +83,20 @@ def test_check_eup_fig1(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["found"] is True
     assert payload["witness"]["report"]["overall"] is True
+    code, out, _ = run(capsys, "check-eup", "--k", "2", "--budget", "1", "--in", str(src))
+    payload = json.loads(out)
+    assert code == 0 and payload["found"] is None and "witness" not in payload
+    assert payload["unknown"]["operation"] == "find_witness"
+
+
+def test_index_budget_of_one_reports_unknowns(capsys, tmp_path):
+    src = tmp_path / "fig1.txt"
+    src.write_text(to_edgelist(fig1()))
+    code, out, _ = run(capsys, "index", "--budget", "1", "--in", str(src))
+    payload = json.loads(out)
+    assert code == 0 and payload["hp"] is None and payload["h"] is None
+    assert payload["hp_unknown"] and payload["h_unknown"]
+    assert payload["bounds"]["unknowns"] == ["max_trail"]
 
 
 def test_index_star(capsys, tmp_path):
@@ -91,6 +108,9 @@ def test_index_star(capsys, tmp_path):
     assert payload["hp"] == 1 and payload["h"] == 1
     assert payload["checks"]["hp_cross_check"]["status"] == "confirmed"
     assert set(payload["bounds"]) == {"thm_b1", "cor1", "cor2", "thm_b2", "stats", "unknowns"}
+    code, out, _ = run(capsys, "index", "--hp", "--in", str(src))
+    payload = json.loads(out)
+    assert code == 0 and payload["hp"] == 1 and "h" not in payload
 
 
 def test_index_cross_check_obeys_timeout(capsys, tmp_path):
@@ -121,6 +141,12 @@ def test_bounds_subcommand(capsys, tmp_path):
     code, out, _ = run(capsys, "bounds", "--in", str(src))
     assert code == 0
     assert json.loads(out)["bounds"]["cor2"] == 1
+    # The first byte decides the format, not the file name: an edge list
+    # named .g6 is read as one.
+    named_g6 = tmp_path / "f.g6"
+    named_g6.write_text(to_edgelist(fig1()))
+    code, out, _ = run(capsys, "bounds", "--in", str(named_g6))
+    assert (code, out) == _run_io(["bounds"], to_edgelist(fig1()))[:2]
 
 
 def test_corpus_emission_and_ingestion(capsys, tmp_path):
@@ -170,6 +196,22 @@ def test_verify_main_writes_reports(capsys, tmp_path):
     assert summary["ok"] is True
     assert (outdir / "main.jsonl").exists()
     assert (outdir / "main.csv").exists()
+
+
+def test_verify_main_over_the_line_graph_cap_is_an_unknown(capsys, tmp_path):
+    # At n = 5 the trail search would run on L^4(K6), 5,460 vertices: over
+    # iterated_line_graph's cap, so the record is an Unknown.
+    src = tmp_path / "k6.g6"
+    src.write_text(to_graph6(complete(6)) + "\n")
+    outdir = tmp_path / "reports"
+    code, out, _ = run(capsys, "verify", "--theorem", "main", "--n", "5", "--in", str(src),
+                       "--out", str(outdir))
+    summary = json.loads(out)
+    assert code == 0 and (summary["records"], summary["unknowns"], summary["ok"]) == (1, 1, True)
+    (record,) = map(json.loads, (outdir / "main.jsonl").read_text().splitlines())
+    assert record["unknown"]["operation"] == "iterated_line_graph"
+    assert "level 4" in record["unknown"]["detail"] and "cap 5000" in record["unknown"]["detail"]
+    assert record["witness_found"] is True and record["agree"] is None
 
 
 def test_verify_induction_honours_max_vertices(capsys):

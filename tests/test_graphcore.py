@@ -398,6 +398,7 @@ def test_graph6_from_mask_matches_to_graph6(n):
         encoded = graph6_from_mask(n, mask)
         assert encoded == to_graph6(g)
         assert encoded.startswith("~") == (n >= 63)
+        assert parse_graph6(encoded) == g
 
 
 def test_graph6_rejects_multigraph_on_encode():
@@ -413,3 +414,6 @@ def test_graph6_bad_byte_offset():
 def test_graph6_wrong_body_length():
     with pytest.raises(ParseError):
         parse_graph6("D?")
+    # Three vertices need three bits; "x" (111001) sets the last padding bit.
+    with pytest.raises(ParseError, match="nonzero padding"):
+        parse_graph6("Bx")

@@ -8,8 +8,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from itline.budget import Unknown
 from itline.eup import VARIANT_EUP, find_witness
-from itline.families import fig2, path, star
+from itline.families import complete, fig2, path, star
 from itline.graphcore import InputError, MultiGraph, to_graph6
 from itline.harness import (
     CampaignReport,
@@ -173,6 +174,20 @@ def test_truth_route_small_line_graphs():
     assert value is True and route == "direct-oracle" and unknown is None
     value, route, unknown = iterated_traceable_truth(star(3), 2)
     assert value is True and route == "dominating-trail"
+    # L(path(2)) is one vertex: level 1 has no edges, and level 2 does not exist.
+    for n in (2, 3):
+        assert iterated_traceable_truth(path(2), n) == (True, "degenerate-tiny", None)
+
+
+def test_truth_over_the_line_graph_cap_is_unknown():
+    # L^3(K6) has 420 vertices and 5,460 edges, so L^4(K6) is over the cap of
+    # 5,000; the answer is an Unknown, not a trail search on 5,460 vertices.
+    value, route, unknown = iterated_traceable_truth(complete(6), 5)
+    assert value is None and route == "dominating-trail"
+    assert unknown == Unknown(
+        "iterated_line_graph", 0,
+        "line-graph iteration stopped at level 4: 5460 vertices exceeds cap 5000",
+    )
 
 
 def test_main_campaign_tiny_corpus(corpus5):

@@ -119,6 +119,7 @@ def test_branch_partition_and_degree_invariants(g):
         if not b.is_closed:
             assert g.degree(b.vertices[0]) != 2
             assert g.degree(b.vertices[-1]) != 2
+            assert b.vertices[0] < b.vertices[-1]
     cycle_edges = {e for comp in cycle_component_edges(g) for e in comp}
     assert seen | cycle_edges == set(range(g.edge_count))
     assert not seen & cycle_edges
