@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class GraphError(Exception):
@@ -40,6 +40,29 @@ class ParseError(GraphError):
         super().__init__(message + where)
         self.line = line
         self.offset = offset
+
+
+class BridgeTree(NamedTuple):
+    """G's 2-edge-connected pieces and the bridges that join them (:func:`_bridge_tree`)."""
+
+    #: Each piece's vertex mask, children before parents.
+    pieces: tuple[int, ...]
+    #: The index in ``pieces`` of each vertex's piece.
+    piece_of: tuple[int, ...]
+    #: Each piece's bridge to its parent piece, -1 for a root's.
+    up: tuple[int, ...]
+    #: The bridges' edge ids as a bitmask.
+    bridge_mask: int
+
+
+class BridgePaths(NamedTuple):
+    """The valued paths of the bridge tree (:func:`_bridge_tree_paths`)."""
+
+    #: Each piece's two best exits, best first, as one flat tuple
+    #: (value, bridge, value, bridge).
+    exits: tuple[tuple[int, int, int, int], ...]
+    #: The best value of any tree path.
+    best: int
 
 
 @dataclass(frozen=True)
@@ -106,6 +129,19 @@ class MultiGraph:
         pairs = [(u, v) if u < v else (v, u) for u, v in self.edges]
         base = 1 + max(Counter(pairs).values(), default=1)
         return base, _canonical_code(self.vertex_count, pairs, base)
+
+    @cached_property
+    def bridge_tree(self) -> BridgeTree:
+        """The bridges and 2-edge-connected pieces, from one lowpoint DFS per
+        graph object (:func:`_bridge_tree`); every reader of the tree reads it
+        here."""
+        return _bridge_tree(self)
+
+    @cached_property
+    def bridge_tree_paths(self) -> BridgePaths:
+        """Each piece's two best exits and the best path value of the bridge
+        tree (:func:`_bridge_tree_paths`), valued once per graph object."""
+        return _bridge_tree_paths(self)
 
     def check_vertex(self, v: int) -> None:
         if not (0 <= v < self.vertex_count):
@@ -246,7 +282,7 @@ def is_connected(g: MultiGraph) -> bool:
     return g.connected
 
 
-def bridge_tree(g: MultiGraph) -> tuple[list[int], list[int], list[int]]:
+def _bridge_tree(g: MultiGraph) -> BridgeTree:
     """G's bridge tree, from one iterative lowpoint DFS (Tarjan, 1974).
 
     The tree edge into ``w`` is a bridge iff no other edge leads from
@@ -256,11 +292,9 @@ def bridge_tree(g: MultiGraph) -> tuple[list[int], list[int], list[int]]:
     vertices wait on a stack until their piece closes: when the walk leaves
     ``w`` over a bridge, the vertices above ``w`` on the stack are ``w``'s
     2-edge-connected piece, and a root's piece closes when its walk ends.
-    So the pieces close children first, in the post-order of the tree.
-    Returns the pieces as vertex masks in that order, the index of each
-    vertex's piece, and each piece's bridge to its parent piece (-1 for a
-    root's).  It walks edge ids, which the vertex masks of :func:`_flood`
-    cannot tell apart.
+    So the pieces close children first, in the post-order of the tree.  It
+    walks edge ids, which the vertex masks of :func:`_flood` cannot tell
+    apart.  :attr:`MultiGraph.bridge_tree` caches its result.
     """
     n, inc, ends = g.vertex_count, g.incidence, g.ends
     disc = [-1] * n
@@ -269,6 +303,7 @@ def bridge_tree(g: MultiGraph) -> tuple[list[int], list[int], list[int]]:
     pieces: list[int] = []
     up: list[int] = []
     waiting: list[int] = []
+    cut = 0
     clock = 0
     for root in range(n):
         if disc[root] >= 0:
@@ -300,6 +335,7 @@ def bridge_tree(g: MultiGraph) -> tuple[list[int], list[int], list[int]]:
                         if low[v] < low[u]:
                             low[u] = low[v]
                         continue
+                    cut |= 1 << via
                 else:
                     via = -1
                 # ``via`` is a bridge or v is the root: v's piece closes.
@@ -310,12 +346,69 @@ def bridge_tree(g: MultiGraph) -> tuple[list[int], list[int], list[int]]:
                 del waiting[at:]
                 pieces.append(mask)
                 up.append(via)
-    return pieces, piece_of, up
+    return BridgeTree(tuple(pieces), tuple(piece_of), tuple(up), cut)
+
+
+def _bridge_tree_paths(g: MultiGraph) -> BridgePaths:
+    """Values of the paths of G's bridge tree, which bound every trail of G.
+
+    A trail crosses each bridge at most once, so the pieces it touches lie
+    on one path of the tree, and it covers no more than their vertices.  A
+    piece weighs ``count * (n + 1) + cov``, its vertex count and degree->=3
+    count, so that sums order as (count, cov) pairs do.  An exit of a piece
+    is (the best value of a tree path that leaves the piece by a bridge,
+    that bridge).  :func:`_bridge_tree` closes children before parents, so
+    one pass in its order hands each piece's best path down its subtree to
+    its parent as an exit, and one pass in reverse gives each piece its exit
+    up, from its parent's best exit by another bridge.  Each piece keeps
+    only its two best exits, best first, with ``(0, m)`` for a missing one
+    (no edge has id m, so no trail uses it).  Two are enough: a trail that
+    ends in a piece entered it by at most one of its bridges, so its best
+    unused exit is one of the two, and so is a parent's best exit by
+    another bridge.  :attr:`MultiGraph.bridge_tree_paths` caches its result.
+    """
+    pieces, piece_of, up, _ = g.bridge_tree
+    scale, k = g.vertex_count + 1, len(pieces)
+    v3_mask = sum(1 << v for v, ids in enumerate(g.incidence) if len(ids) >= 3)
+    weight = [p.bit_count() * scale + (p & v3_mask).bit_count() for p in pieces]
+    edges = g.edges
+    parent = [-1] * k
+    first = [(0, g.edge_count)] * k
+    second = first[:]
+    # Children first: a piece's exits down are all in when it comes.
+    for b, eid in enumerate(up):
+        if eid >= 0:
+            x, y = edges[eid]
+            # One end of the bridge lies in b, the other in its parent.
+            a = parent[b] = piece_of[x] ^ piece_of[y] ^ b
+            out = (weight[b] + first[b][0], eid)
+            if out > first[a]:
+                second[a] = first[a]
+                first[a] = out
+            elif out > second[a]:
+                second[a] = out
+    # Parents first: a parent has its exit up before its children read it.
+    # The best tree path leaves one of its end pieces by its best exit.
+    best = 0
+    for b in range(k - 1, -1, -1):
+        eid = up[b]
+        if eid >= 0:
+            a = parent[b]
+            top_value, top_eid = first[a]
+            out = (weight[a] + (second[a][0] if top_eid == eid else top_value), eid)
+            if out > first[b]:
+                second[b] = first[b]
+                first[b] = out
+            elif out > second[b]:
+                second[b] = out
+        best = max(best, weight[b] + first[b][0])
+    return BridgePaths(tuple(top + runner_up for top, runner_up in zip(first, second)), best)
 
 
 def bridges(g: MultiGraph) -> frozenset[int]:
-    """Edge ids whose removal splits their component: the edges of :func:`bridge_tree`."""
-    return frozenset(eid for eid in bridge_tree(g)[2] if eid >= 0)
+    """Edge ids whose removal splits their component, read off the cached
+    :attr:`MultiGraph.bridge_tree`."""
+    return frozenset(mask_members(g.bridge_tree.bridge_mask))
 
 
 def diameter(g: MultiGraph) -> int:

@@ -92,14 +92,17 @@ def _index(
 
     Level 1 is searched only when the bridge-tree certificate does not rule
     it out, and ``stop(g)`` is computed only once a witness level comes up
-    empty, since most graphs settle at level 2.
+    empty, since most graphs settle at level 2.  An ``Unknown``'s detail
+    opens with the stage and the level whose search ran out.
     """
     if not is_connected(g):
         raise DisconnectedGraphError(f"{name} requires a connected graph")
     node_budget = default_node_budget() if node_budget is None else node_budget
     answer = oracle(g, node_budget=node_budget, time_limit=time_limit)
     if isinstance(answer, Unknown):
-        return Unknown(name, answer.budget_spent, answer.detail)
+        return Unknown(
+            name, answer.budget_spent, f"direct oracle undecided at level 0: {answer.detail}"
+        )
     if answer.value:
         # A cycle's witness closes up through its start.
         return IndexResult(
@@ -114,7 +117,11 @@ def _index(
             g, closed=closed, node_budget=node_budget, time_limit=time_limit
         )
         if isinstance(trail, Unknown):
-            return Unknown(name, trail.budget_spent, trail.detail)
+            return Unknown(
+                name,
+                trail.budget_spent,
+                f"dominating-trail search undecided at level 1: {trail.detail}",
+            )
         if trail is not None:
             return IndexResult(1, "dominating-trail", kind, trail)
     last = None

@@ -28,24 +28,27 @@ prunes keep the walk small, each exact by a one-line fact:
 * A vertex set dominates iff the vertices outside it are independent, which
   is tested on neighbour bitmasks, one per vertex outside, not per edge.
 
-The bridge tree (2-edge-connected pieces joined by bridges) serves twice,
-since a trail crosses each bridge at most once and so touches the pieces of
-one tree path.  Both uses read one iterative lowpoint DFS,
-:func:`~itline.graphcore.bridge_tree`, which finds the bridges and closes
-each piece as it leaves it by its bridge, so children close before parents.
-:func:`max_trail` builds the tree once its first descent ends short of all
-n vertices, and two passes over the pieces in that order value the tree's
-paths, keeping each piece's two best exits.  No trail beats the best path,
-so the search stops at a trail that reaches it, and it prunes a trail that
-cannot beat the best even if it took the rest of its piece and the best
-exit out of it that it has not used.  That exit is one of the two: a trail
-that ends in a piece entered it by at most one of its bridges.  A
-certificate settles some empty searches with no walk at all:
-:func:`bridge_tree_rules_out_trail` reads from the same DFS that a
-dominating trail would have to cross a bridge that it cannot (closed) or
-take three branches of the bridge tree at one piece (open).  The
-dominating-trail search itself does not consult it, since on the common
-graph with a dominating trail the pass would only add cost;
+The bridge tree (2-edge-connected pieces joined by bridges) serves three
+times, since a trail crosses each bridge at most once and so touches the
+pieces of one tree path.  Every use reads the tree that the graph caches,
+:attr:`~itline.graphcore.MultiGraph.bridge_tree`: one iterative lowpoint
+DFS per graph object finds the bridges and closes each piece as it leaves
+it by its bridge, so children close before parents.  A closed walk starts
+with the tree's bridges marked used.  :func:`max_trail` reads the tree once
+its first descent ends short of all n vertices, and on a graph with a
+bridge also the tree's valued paths
+(:attr:`~itline.graphcore.MultiGraph.bridge_tree_paths`, also computed
+once per graph), which keep each piece's two best exits.
+No trail beats the best path, so the search stops at a trail that reaches
+it, and it prunes a trail that cannot beat the best even if it took the
+rest of its piece and the best exit out of it that it has not used.  That
+exit is one of the two: a trail that ends in a piece entered it by at most
+one of its bridges.  A certificate settles some empty searches with no
+walk at all: :func:`bridge_tree_rules_out_trail` reads from the same tree
+that a dominating trail would have to cross a bridge that it cannot
+(closed) or take three branches of the bridge tree at one piece (open).
+The dominating-trail search itself does not consult it, since on the
+common graph with a dominating trail the pass would only add cost;
 ``indices._index`` asks it first.
 """
 
@@ -62,8 +65,6 @@ from .graphcore import (
     MultiGraph,
     Trail,
     _unchecked,
-    bridge_tree,
-    bridges,
     is_connected,
     trivial_trail,
 )
@@ -223,7 +224,7 @@ def _walk_trails(
     seen: set[tuple[int, int]] = set()
     if closed:
         starts: Iterable[int] = range(g.vertex_count)
-        blocked = sum(1 << eid for eid in bridges(g))
+        blocked = g.bridge_tree.bridge_mask
     else:
         odd = [v for v in range(g.vertex_count) if len(inc[v]) % 2]
         starts = sorted(odd, key=lambda v: len(inc[v]) != 1) or [0]
@@ -279,70 +280,6 @@ def _walk_trails(
     return None
 
 
-def _bridge_tree_paths(
-    g: MultiGraph, v3_mask: int
-) -> tuple[list[int] | None, list[tuple[tuple[int, int], tuple[int, int]]], int]:
-    """Values of the paths of the bridge tree, which bound every trail of G.
-
-    The tree's nodes are the 2-edge-connected pieces and its edges the
-    bridges, all from one :func:`~itline.graphcore.bridge_tree` walk.  A
-    trail crosses each bridge at most once, so the pieces it touches lie on
-    one path of the tree, and it covers no more than their vertices.  A
-    piece weighs ``count * (n + 1) + cov``, its vertex count and degree->=3
-    count, so that sums order as (count, cov) pairs do.  An exit of a piece
-    is (the best value of a tree path that leaves the piece by a bridge,
-    that bridge).  The walk closes children before parents, so one pass in
-    its order hands each piece's best path down its subtree to its parent
-    as an exit, and one pass in reverse gives each piece its exit up, from
-    its parent's best exit by another bridge.  Each piece keeps only its two
-    best exits, best first, with ``(0, m)`` for a missing one (no edge has
-    id m, so no trail uses it).  Two are enough: a trail that ends in a
-    piece entered it by at most one of its bridges, so its best unused exit
-    is one of the two, and so is a parent's best exit by another bridge.
-    Returns, for each vertex, the vertex mask of its piece and the piece's
-    two exits, and the best value of any tree path; the masks are None when
-    G has no bridge.
-    """
-    pieces, piece_of, up = bridge_tree(g)
-    scale, k = g.vertex_count + 1, len(pieces)
-    weight = [p.bit_count() * scale + (p & v3_mask).bit_count() for p in pieces]
-    if k == 1:
-        return None, [], weight[0]
-    edges = g.edges
-    parent = [-1] * k
-    first = [(0, g.edge_count)] * k
-    second = first[:]
-    # Children first: a piece's exits down are all in when it comes.
-    for b, eid in enumerate(up):
-        if eid >= 0:
-            x, y = edges[eid]
-            # One end of the bridge lies in b, the other in its parent.
-            a = parent[b] = piece_of[x] ^ piece_of[y] ^ b
-            out = (weight[b] + first[b][0], eid)
-            if out > first[a]:
-                second[a] = first[a]
-                first[a] = out
-            elif out > second[a]:
-                second[a] = out
-    # Parents first: a parent has its exit up before its children read it.
-    # The best tree path leaves one of its end pieces by its best exit.
-    best = 0
-    for b in range(k - 1, -1, -1):
-        eid = up[b]
-        if eid >= 0:
-            a = parent[b]
-            top_value, top_eid = first[a]
-            out = (weight[a] + (second[a][0] if top_eid == eid else top_value), eid)
-            if out > first[b]:
-                second[b] = first[b]
-                first[b] = out
-            elif out > second[b]:
-                second[b] = out
-        best = max(best, weight[b] + first[b][0])
-    exits = list(zip(first, second))
-    return [pieces[i] for i in piece_of], [exits[i] for i in piece_of], best
-
-
 @dataclass(frozen=True)
 class MaxTrailResult:
     """A trail with the most distinct vertices, preferring coverage of degree->=3 vertices.
@@ -378,16 +315,22 @@ def max_trail(
       end over unused edges.  It is kept per depth: a step that uses the
       last unused edge at the old end leaves it unchanged, so only other
       steps search for the reach.
-    * The bridge-tree bound (:func:`_bridge_tree_paths`).  The first time
-      the walk goes no deeper, its first descent having ended short of all
-      n vertices, one lowpoint DFS builds the bridge tree and two passes
-      over its pieces value its paths; the best value becomes the stop.  A
-      trail is then pruned when its own count, plus the unvisited vertices
-      of its end's piece, plus the best exit from that piece by a bridge it
-      has not used, cannot beat the best.  The trail has used at most one
-      bridge of that piece, so the exit is the first or the second of the
-      two the piece keeps.  On a graph with no bridge this bound is never
-      below the reach bound, so it is not applied there.
+    * The bridge-tree bound
+      (:attr:`~itline.graphcore.MultiGraph.bridge_tree_paths`).  The first
+      time the walk goes no deeper, its first descent having ended short of
+      all n vertices, it reads the graph's bridge tree and, when the graph
+      has a bridge, the values of the tree's paths; the best value becomes
+      the stop.  Both are built on their first read and cached on the
+      graph, and the search reads them at that same node whether or not
+      they were cached, so its node count never depends on what ran on the
+      graph before.  A trail is then pruned when its own count, plus the
+      unvisited vertices of its end's piece, plus the best exit from that
+      piece by a bridge it has not used, cannot beat the best.  The trail
+      has used at most one bridge of that piece, so the exit is the first
+      or the second of the two the piece keeps.  A graph with no bridge is
+      one piece, whose only path is all n vertices, the stop already held,
+      and there the bound is never below the reach bound, so neither is
+      applied.
 
     Both bounds cut only subtrees that hold no strictly better trail, and
     the best changes only on a strictly better trail, so the witness is
@@ -417,14 +360,16 @@ def max_trail(
     best_vs: tuple[int, ...] = (seed,)
     best_es: tuple[int, ...] = ()
     # The stop, the best key any trail can have: all n vertices until the
-    # bridge tree is built.  ``descent`` is the depth of the last visit while
-    # the walk is still on its first descent, None once the tree is built;
-    # then ``piece_at[v]`` is the vertex mask of v's piece and ``exits_at[v]``
-    # its exits, and ``piece_at`` stays None when the graph has no bridge.
+    # bridge tree is read.  ``descent`` is the depth of the last visit while
+    # the walk is still on its first descent, None once the tree is read;
+    # then ``pieces[piece_of[v]]`` is the vertex mask of v's piece and
+    # ``exits[piece_of[v]]`` its exits, and ``exits`` stays empty when the
+    # graph has no bridge.
     goal = n * scale + v3_mask.bit_count()
     descent: int | None = -1
-    piece_at: list[int] | None = None
-    exits_at: list[tuple[tuple[int, int], tuple[int, int]]] = []
+    pieces: tuple[int, ...] = ()
+    piece_of: tuple[int, ...] = ()
+    exits: tuple[tuple[int, int, int, int], ...] = ()
     # bounds[d]: (ub, whole) for the trail of d edges being expanded.  ``ub``
     # holds the trail's vertices and those reachable from its end over unused
     # edges: all of them when ``whole``, else more than the best count at the
@@ -454,7 +399,7 @@ def max_trail(
         return mask, True
 
     def visit(v: int, used: int, vmask: int, path_v: list[int], path_e: list[int]) -> int:
-        nonlocal best_key, best_vs, best_es, goal, descent, piece_at, exits_at
+        nonlocal best_key, best_vs, best_es, goal, descent, pieces, piece_of, exits
         count = vmask.bit_count()
         key = count * scale + (vmask & v3_mask).bit_count()
         if key > best_key:
@@ -467,13 +412,16 @@ def max_trail(
                 descent = depth
             else:
                 descent = None
-                piece_at, exits_at, goal = _bridge_tree_paths(g, v3_mask)
-                if best_key == goal:
-                    return _STOP
-        if piece_at is not None:
-            rest = piece_at[v] & ~vmask
+                pieces, piece_of, _, cut = g.bridge_tree
+                if cut:
+                    exits, goal = g.bridge_tree_paths
+                    if best_key == goal:
+                        return _STOP
+        if exits:
+            p = piece_of[v]
+            rest = pieces[p] & ~vmask
             ub_key = key + rest.bit_count() * scale + (rest & v3_mask).bit_count()
-            (top_value, top_eid), (second_value, _) = exits_at[v]
+            top_value, top_eid, second_value, _ = exits[p]
             ub_key += second_value if used >> top_eid & 1 else top_value
             if ub_key <= best_key:
                 return _PRUNE
@@ -511,11 +459,11 @@ def bridge_tree_rules_out_trail(g: MultiGraph, closed: bool) -> bool:
     it touches lie on one path of the bridge tree, which meets each piece
     by at most two of its bridges; so a piece that meets three or more
     inner bridges rules it out.  False says nothing: the trail search
-    decides.  The bridges and the pieces come from one
-    :func:`~itline.graphcore.bridge_tree` walk.
+    decides.  The bridges and the pieces come from the graph's cached
+    :attr:`~itline.graphcore.MultiGraph.bridge_tree`.
     """
     inc, edges = g.incidence, g.edges
-    _, piece_of, up = bridge_tree(g)
+    _, piece_of, up, _ = g.bridge_tree
     inner = [edges[eid] for eid in up if eid >= 0 and all(len(inc[x]) >= 2 for x in edges[eid])]
     if closed:
         return bool(inner)

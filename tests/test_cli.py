@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from itline.cli import main
-from itline.families import complete, fig1, fig3, star
+from itline.families import complete, fig1, fig2, fig3, star
 from itline.graphcore import parse_edgelist, parse_graph6, to_edgelist, to_graph6
 from itline.linegraph import line_graph
 
@@ -97,6 +97,26 @@ def test_index_budget_of_one_reports_unknowns(capsys, tmp_path):
     assert code == 0 and payload["hp"] is None and payload["h"] is None
     assert payload["hp_unknown"] and payload["h_unknown"]
     assert payload["bounds"]["unknowns"] == ["max_trail"]
+
+
+def test_index_unknowns_name_their_stage_and_level(capsys, tmp_path):
+    # With a budget of one node, fig1's path oracle gives up at level 0 and
+    # its cycle index at the first witness level, past the bridge-tree
+    # certificate; fig2(1)'s trail searches give up at level 1 once the
+    # oracle has ruled out level 0.
+    cases = (
+        (fig1(), "direct oracle undecided at level 0: ", "witness search undecided at k=2: "),
+        (fig2(1), "dominating-trail search undecided at level 1: open search",
+         "dominating-trail search undecided at level 1: closed search"),
+    )
+    for g, hp_prefix, h_prefix in cases:
+        src = tmp_path / "g.txt"
+        src.write_text(to_edgelist(g))
+        code, out, _ = run(capsys, "index", "--budget", "1", "--in", str(src))
+        payload = json.loads(out)
+        assert code == 0 and payload["hp"] is None
+        assert payload["hp_unknown"].startswith(hp_prefix), payload["hp_unknown"]
+        assert payload["h_unknown"].startswith(h_prefix), payload["h_unknown"]
 
 
 def test_index_star(capsys, tmp_path):

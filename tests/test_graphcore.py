@@ -16,7 +16,6 @@ from itline.graphcore import (
     Trail,
     _flood,
     bfs_distances,
-    bridge_tree,
     bridges,
     connected_components,
     diameter,
@@ -269,7 +268,8 @@ def test_bridges_match_edge_deletion(g):
     # Each piece but a root's names its bridge to a parent that closes later.
     cut, brute_pieces, _, _ = brute_bridge_tree(g)
     assert bridges(g) == cut
-    pieces, piece_of, up = bridge_tree(g)
+    pieces, piece_of, up, cut_mask = g.bridge_tree
+    assert cut_mask == sum(1 << eid for eid in cut)
     members = [frozenset(x for x in range(g.vertex_count) if p >> x & 1) for p in pieces]
     assert sorted(members, key=min) == brute_pieces
     assert all(v in members[piece_of[v]] for v in range(g.vertex_count))

@@ -9,21 +9,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from itline import structure
+from itline import graphcore
 from itline.budget import Unknown
 from itline.families import complete, cycle, fig1, fig2, fig3, fig4b, path, star, two_cycle
 from itline.graphcore import (
     DisconnectedGraphError,
     MultiGraph,
     Trail,
-    bridge_tree,
     bridges,
     diameter,
     validate_trail,
 )
+from itline.indices import compute_bounds, hamiltonian_index, hamiltonian_path_index
 from itline.structure import (
     MaxTrailResult,
-    _bridge_tree_paths,
     branches,
     branches_b1,
     bridge_tree_rules_out_trail,
@@ -322,29 +321,25 @@ def test_max_trail_witnesses_match_pinned_digest(corpus6):
     assert hashlib.sha256(blob).hexdigest() == MAX_TRAIL_DIGEST
 
 
-def _v3_mask(g):
-    return sum(1 << v for v in range(g.vertex_count) if g.degree(v) >= 3)
-
-
 def _tree_bound(g):
     """The bridge tree's best path value, as (vertices, degree->=3 vertices)."""
-    *_, best = _bridge_tree_paths(g, _v3_mask(g))
-    return divmod(best, g.vertex_count + 1)
+    return divmod(g.bridge_tree_paths.best, g.vertex_count + 1)
 
 
 def _check_bridge_tree_paths(g):
     # The one-pass tree against edge deletion and brute-force tree paths: the
     # same pieces, the same best value and each piece's first two exits.
     cut, pieces, exits, best = brute_bridge_tree(g)
-    piece_at, exits_at, got = _bridge_tree_paths(g, _v3_mask(g))
+    tree_exits, got = g.bridge_tree_paths
     assert got == best
-    if not cut:
-        assert piece_at is None
-        return
+    tree_pieces, piece_of, *_ = g.bridge_tree
+    assert len(tree_exits) == len(tree_pieces)
     for v in range(g.vertex_count):
-        piece = frozenset(x for x in range(g.vertex_count) if piece_at[v] >> x & 1)
+        p = piece_of[v]
+        piece = frozenset(x for x in range(g.vertex_count) if tree_pieces[p] >> x & 1)
         assert v in piece and piece in pieces
-        assert [out for out in exits_at[v] if out[0]] == exits[piece][:2]
+        two = (tree_exits[p][:2], tree_exits[p][2:])
+        assert [out for out in two if out[0]] == exits[piece][:2]
 
 
 @settings(deadline=None, max_examples=80)
@@ -387,16 +382,44 @@ def test_bridge_tree_bound_is_at_least_the_maximum_trail(g):
     assert _tree_bound(g) >= (mt_star, v3 - d3_star)
 
 
+def _count_tree_builds(monkeypatch):
+    """Lists that grow by one graph at each lowpoint DFS and at each valuing
+    of the bridge tree's paths: the two fills of the graph's cache."""
+    dfs, valued = [], []
+    build, value = graphcore._bridge_tree, graphcore._bridge_tree_paths
+    monkeypatch.setattr(graphcore, "_bridge_tree", lambda g: dfs.append(g) or build(g))
+    monkeypatch.setattr(graphcore, "_bridge_tree_paths", lambda g: valued.append(g) or value(g))
+    return dfs, valued
+
+
 def test_bridge_pass_waits_for_a_dead_end(monkeypatch):
     # The bridge tree is built only once the first descent ends short of all
     # n vertices, so K5 (still 7 nodes, see above) and path(1500) make no pass.
-    calls = []
-    monkeypatch.setattr(structure, "bridge_tree", lambda g: calls.append(g) or bridge_tree(g))
+    calls, _ = _count_tree_builds(monkeypatch)
     assert max_trail(complete(5)).mt_star == 5
     assert max_trail(path(1500)).mt_star == 1500
     assert not calls
     assert max_trail(fig3(1, 6)).mt_star == 13
     assert len(calls) == 1
+
+
+def test_one_bridge_tree_per_graph(monkeypatch):
+    # On one graph object, the level-1 certificates, the closed dominating
+    # search, the bounds and two more maximum trails run one lowpoint DFS and
+    # value the tree's paths once; each used to run its own.  Every max_trail
+    # still reads the cached tree at its first dead end, so a warm graph
+    # spends what a fresh one does: 14 nodes on fig3(1,6), as pinned above.
+    dfs, valued = _count_tree_builds(monkeypatch)
+    g = fig3(1, 6)
+    assert (hamiltonian_path_index(g).value, hamiltonian_index(g).value) == (3, 6)
+    assert compute_bounds(g).mt_star == 13
+    first, again = (max_trail(g, node_budget=14) for _ in range(2))
+    assert isinstance(first, MaxTrailResult) and first == again
+    for starved in (max_trail(g, node_budget=13) for _ in range(2)):
+        assert isinstance(starved, Unknown) and starved.budget_spent == 14
+    assert len(dfs) == len(valued) == 1
+    tree, paths = g.bridge_tree, g.bridge_tree_paths
+    assert all(type(part) is tuple for part in (*tree[:3], paths.exits, *paths.exits))
 
 
 def test_long_inputs_get_an_answer():
