@@ -20,9 +20,7 @@ from .graphcore import (
     Trail,
     connected_components,
     diameter,
-    incident_edges,
     is_connected,
-    odd_vertices,
     parse_edgelist,
     parse_graph6,
     subgraph,

@@ -152,14 +152,6 @@ class MultiGraph:
             raise InputError(f"edge id {eid} not in graph with {self.edge_count} edges")
         return self.edges[eid]
 
-    def other_end(self, eid: int, v: int) -> int:
-        u, w = self.endpoints(eid)
-        if v == u:
-            return w
-        if v == w:
-            return u
-        raise InputError(f"vertex {v} is not an endpoint of edge {eid}")
-
     def degree(self, v: int) -> int:
         """Number of edges incident to ``v``, counting parallel edges."""
         self.check_vertex(v)
@@ -294,7 +286,8 @@ def _bridge_tree(g: MultiGraph) -> BridgeTree:
     2-edge-connected piece, and a root's piece closes when its walk ends.
     So the pieces close children first, in the post-order of the tree.  It
     walks edge ids, which the vertex masks of :func:`_flood` cannot tell
-    apart.  :attr:`MultiGraph.bridge_tree` caches its result.
+    apart.  :attr:`MultiGraph.bridge_tree` caches its result, whose
+    ``bridge_mask`` is the one form of G's bridges that the package reads.
     """
     n, inc, ends = g.vertex_count, g.incidence, g.ends
     disc = [-1] * n
@@ -405,12 +398,6 @@ def _bridge_tree_paths(g: MultiGraph) -> BridgePaths:
     return BridgePaths(tuple(top + runner_up for top, runner_up in zip(first, second)), best)
 
 
-def bridges(g: MultiGraph) -> frozenset[int]:
-    """Edge ids whose removal splits their component, read off the cached
-    :attr:`MultiGraph.bridge_tree`."""
-    return frozenset(mask_members(g.bridge_tree.bridge_mask))
-
-
 def diameter(g: MultiGraph) -> int:
     """Greatest distance between two vertices; raises on disconnected input.
 
@@ -479,10 +466,6 @@ def subgraph(g: MultiGraph, edge_ids: Iterable[int], extra_vertices: Iterable[in
     return h
 
 
-def subgraph_vertices(g: MultiGraph, h: SubgraphH) -> frozenset[int]:
-    return frozenset(subgraph_degrees(g, h))
-
-
 def subgraph_degrees(g: MultiGraph, h: SubgraphH) -> dict[int, int]:
     """Degree within the subgraph for every vertex of the subgraph."""
     degs = {v: 0 for v in h.extra_vertices}
@@ -493,26 +476,9 @@ def subgraph_degrees(g: MultiGraph, h: SubgraphH) -> dict[int, int]:
     return degs
 
 
-def odd_vertices(g: MultiGraph, h: SubgraphH) -> frozenset[int]:
-    """Vertices of odd degree in the subgraph, O(H)."""
-    return frozenset(v for v, d in subgraph_degrees(g, h).items() if d % 2 == 1)
-
-
-def incident_edges(g: MultiGraph, h: SubgraphH) -> frozenset[int]:
-    """All edges of the host graph incident with a vertex of the subgraph."""
-    verts = subgraph_vertices(g, h)
-    return frozenset(
-        eid for eid, (u, v) in enumerate(g.edges) if u in verts or v in verts
-    )
-
-
-def subgraph_components(g: MultiGraph, h: SubgraphH) -> tuple[frozenset[int], ...]:
-    """Connected components of the subgraph; each extra vertex is its own component."""
-    return tuple(frozenset(mask_members(c)) for c in _component_masks(g, h))
-
-
 def _component_masks(g: MultiGraph, h: SubgraphH) -> list[int]:
-    """The components of :func:`subgraph_components` as vertex masks."""
+    """The connected components of the subgraph as vertex masks, by smallest
+    member; each extra vertex is its own component."""
     nbr = [0] * g.vertex_count
     verts = 0
     for v in h.extra_vertices:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import Callable
 
 from .budget import Unknown, default_node_budget
 from .eup import VARIANT_EU, VARIANT_EUP, find_witness
@@ -32,7 +31,7 @@ from .graphcore import (
     is_connected,
     trail_from_order,
 )
-from .hamilton import OracleAnswer, has_hamiltonian_cycle, has_hamiltonian_path
+from .hamilton import has_hamiltonian_cycle, has_hamiltonian_path
 from .linegraph import CapExceededError, EdgelessGraphError, iterated_line_graph
 from .structure import (
     branches,
@@ -77,24 +76,26 @@ class CrossCheck:
 
 
 def _index(
-    g: MultiGraph,
-    name: str,
-    kind: str,
-    oracle: Callable[..., OracleAnswer | Unknown],
-    closed: bool,
-    variant: str,
-    stop: Callable[[MultiGraph], int],
-    node_budget: int | None,
-    time_limit: float | None,
+    g: MultiGraph, closed: bool, node_budget: int | None, time_limit: float | None
 ) -> IndexResult | Unknown:
-    """Level 0 from ``oracle``, level 1 from a dominating (closed) trail, then
-    the ``variant`` witness levels 2..``stop(g)``, which must settle the index.
+    """The hamiltonian index when ``closed``, else the hamiltonian path index.
 
+    Level 0 comes from the direct oracle, level 1 from a dominating (closed)
+    trail, then the EU (EUP) witness levels 2..stop, which must settle the
+    index; the stop is :func:`_cycle_index_stop` (:func:`bound_cor2`).
     Level 1 is searched only when the bridge-tree certificate does not rule
-    it out, and ``stop(g)`` is computed only once a witness level comes up
+    it out, and the stop is computed only once a witness level comes up
     empty, since most graphs settle at level 2.  An ``Unknown``'s detail
     opens with the stage and the level whose search ran out.
     """
+    if closed:
+        name, kind, oracle, variant, stop = (
+            "hamiltonian_index", "h", has_hamiltonian_cycle, VARIANT_EU, _cycle_index_stop
+        )
+    else:
+        name, kind, oracle, variant, stop = (
+            "hamiltonian_path_index", "hp", has_hamiltonian_path, VARIANT_EUP, bound_cor2
+        )
     if not is_connected(g):
         raise DisconnectedGraphError(f"{name} requires a connected graph")
     node_budget = default_node_budget() if node_budget is None else node_budget
@@ -156,10 +157,7 @@ def hamiltonian_path_index(
     time_limit: float | None = None,
 ) -> IndexResult | Unknown:
     """Least number of line-graph iterations until a hamiltonian path exists."""
-    return _index(
-        g, "hamiltonian_path_index", "hp", has_hamiltonian_path, False, VARIANT_EUP,
-        bound_cor2, node_budget, time_limit,
-    )
+    return _index(g, False, node_budget, time_limit)
 
 
 def hamiltonian_index(
@@ -174,10 +172,7 @@ def hamiltonian_index(
     """
     if is_path_graph(g):
         raise PathHasNoIndexError("paths have no hamiltonian index")
-    return _index(
-        g, "hamiltonian_index", "h", has_hamiltonian_cycle, True, VARIANT_EU,
-        _cycle_index_stop, node_budget, time_limit,
-    )
+    return _index(g, True, node_budget, time_limit)
 
 
 # ---------------------------------------------------------------------------

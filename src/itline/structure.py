@@ -34,9 +34,8 @@ pieces of one tree path.  Every use reads the tree that the graph caches,
 :attr:`~itline.graphcore.MultiGraph.bridge_tree`: one iterative lowpoint
 DFS per graph object finds the bridges and closes each piece as it leaves
 it by its bridge, so children close before parents.  A closed walk starts
-with the tree's bridges marked used.  :func:`max_trail` reads the tree once
-its first descent ends short of all n vertices, and on a graph with a
-bridge also the tree's valued paths
+with the tree's bridges marked used.  :func:`max_trail` reads the tree
+before its walk, and on a graph with a bridge also the tree's valued paths
 (:attr:`~itline.graphcore.MultiGraph.bridge_tree_paths`, also computed
 once per graph), which keep each piece's two best exits.
 No trail beats the best path, so the search stops at a trail that reaches
@@ -308,29 +307,25 @@ def max_trail(
     Eulerian; see the module docstring); that order decides the witness
     among equal optima.  States (current vertex, used edges) determine all
     future extensions, so revisited states are skipped.  The search stops at the
-    first trail that reaches an upper bound on every trail, at first a
-    trail through all n vertices, and two optimistic bounds prune the rest:
+    first trail that reaches an upper bound on every trail, and two
+    optimistic bounds prune the rest:
 
     * The reach bound: the trail's vertices and those reachable from its
       end over unused edges.  It is kept per depth: a step that uses the
       last unused edge at the old end leaves it unchanged, so only other
       steps search for the reach.
     * The bridge-tree bound
-      (:attr:`~itline.graphcore.MultiGraph.bridge_tree_paths`).  The first
-      time the walk goes no deeper, its first descent having ended short of
-      all n vertices, it reads the graph's bridge tree and, when the graph
-      has a bridge, the values of the tree's paths; the best value becomes
-      the stop.  Both are built on their first read and cached on the
-      graph, and the search reads them at that same node whether or not
-      they were cached, so its node count never depends on what ran on the
-      graph before.  A trail is then pruned when its own count, plus the
-      unvisited vertices of its end's piece, plus the best exit from that
-      piece by a bridge it has not used, cannot beat the best.  The trail
-      has used at most one bridge of that piece, so the exit is the first
-      or the second of the two the piece keeps.  A graph with no bridge is
-      one piece, whose only path is all n vertices, the stop already held,
-      and there the bound is never below the reach bound, so neither is
-      applied.
+      (:attr:`~itline.graphcore.MultiGraph.bridge_tree_paths`).  Before the
+      walk starts, the search reads the graph's bridge tree and, when the
+      graph has a bridge, the values of the tree's paths, both cached on
+      the graph; the best value is the stop.  A trail is pruned when its
+      own count, plus the unvisited vertices of its end's piece, plus the
+      best exit from that piece by a bridge it has not used, cannot beat
+      the best.  The trail has used at most one bridge of that piece, so
+      the exit is the first or the second of the two the piece keeps.  A
+      graph with no bridge is one piece, whose only path is all n
+      vertices, which is then the stop; there the bound is never below the
+      reach bound, so its paths are not valued and it is not applied.
 
     Both bounds cut only subtrees that hold no strictly better trail, and
     the best changes only on a strictly better trail, so the witness is
@@ -359,17 +354,15 @@ def max_trail(
         best_key = scale
     best_vs: tuple[int, ...] = (seed,)
     best_es: tuple[int, ...] = ()
-    # The stop, the best key any trail can have: all n vertices until the
-    # bridge tree is read.  ``descent`` is the depth of the last visit while
-    # the walk is still on its first descent, None once the tree is read;
-    # then ``pieces[piece_of[v]]`` is the vertex mask of v's piece and
-    # ``exits[piece_of[v]]`` its exits, and ``exits`` stays empty when the
-    # graph has no bridge.
+    # The stop, the best key any trail can have: all n vertices, or the bridge
+    # tree's best path when the graph has a bridge.  Then ``pieces[piece_of[v]]``
+    # is the vertex mask of v's piece and ``exits[piece_of[v]]`` its exits;
+    # ``exits`` stays empty on a bridgeless graph.
     goal = n * scale + v3_mask.bit_count()
-    descent: int | None = -1
-    pieces: tuple[int, ...] = ()
-    piece_of: tuple[int, ...] = ()
+    pieces, piece_of, _, cut = g.bridge_tree
     exits: tuple[tuple[int, int, int, int], ...] = ()
+    if cut:
+        exits, goal = g.bridge_tree_paths
     # bounds[d]: (ub, whole) for the trail of d edges being expanded.  ``ub``
     # holds the trail's vertices and those reachable from its end over unused
     # edges: all of them when ``whole``, else more than the best count at the
@@ -399,24 +392,13 @@ def max_trail(
         return mask, True
 
     def visit(v: int, used: int, vmask: int, path_v: list[int], path_e: list[int]) -> int:
-        nonlocal best_key, best_vs, best_es, goal, descent, pieces, piece_of, exits
+        nonlocal best_key, best_vs, best_es
         count = vmask.bit_count()
         key = count * scale + (vmask & v3_mask).bit_count()
         if key > best_key:
             best_key, best_vs, best_es = key, tuple(path_v), tuple(path_e)
             if key == goal:
                 return _STOP
-        depth = len(path_e)
-        if descent is not None:
-            if depth > descent:
-                descent = depth
-            else:
-                descent = None
-                pieces, piece_of, _, cut = g.bridge_tree
-                if cut:
-                    exits, goal = g.bridge_tree_paths
-                    if best_key == goal:
-                        return _STOP
         if exits:
             p = piece_of[v]
             rest = pieces[p] & ~vmask
@@ -426,6 +408,7 @@ def max_trail(
             if ub_key <= best_key:
                 return _PRUNE
         best_count = best_key // scale
+        depth = len(path_e)
         ub, whole = 0, False
         if depth and not inc_mask[path_v[-2]] & ~used:
             # The step used the old end's last unused edge, so the new end

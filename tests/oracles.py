@@ -184,7 +184,8 @@ def brute_branches(g: MultiGraph) -> set[frozenset[int]]:
         for eid in g.incidence[v]:
             if eid in eids:
                 continue
-            nxt = g.other_end(eid, v)
+            x, y = g.edges[eid]
+            nxt = y if x == v else x
             if nxt == start and all(deg[x] == 2 for x in verts[1:]):
                 found.add(frozenset(eids + [eid]))
                 continue
@@ -256,7 +257,8 @@ def brute_all_trails(g: MultiGraph):
         for eid in g.incidence[v]:
             if eid in used:
                 continue
-            w = g.other_end(eid, v)
+            x, y = g.edges[eid]
+            w = y if x == v else x
             extend(start, w, used | {eid}, visited | {w})
 
     for s in range(g.vertex_count):

@@ -25,12 +25,16 @@ from itline.graphcore import (
     MultiGraph,
     _flood,
     subgraph,
-    subgraph_components,
     subgraph_distance,
 )
 
 from .conftest import connected_multigraphs, doubled_multigraphs, long_branch_graphs, spiders
-from .oracles import brute_witness_exists, floyd_warshall, proximity_by_distances
+from .oracles import (
+    brute_witness_exists,
+    floyd_warshall,
+    proximity_by_distances,
+    subgraph_components_by_edges,
+)
 
 
 def _hexagon(g):
@@ -61,7 +65,7 @@ def test_fig1_bottom_path_with_apex_is_eup2_member():
     report = check_conditions(g, h, 2, VARIANT_EUP)
     assert report.overall, report.to_dict()
     # The two components are the path and the apex, one step apart.
-    assert len(subgraph_components(g, h)) == 2
+    assert len(subgraph_components_by_edges(g, h.edge_ids, h.extra_vertices)) == 2
     assert subgraph_distance(g, {11}, set(range(11))) == 1
 
 
@@ -220,7 +224,7 @@ def test_ball_mask_proximity_matches_distance_table(g, data):
     chosen = data.draw(st.integers(0, (1 << g.edge_count) - 1))
     edges = [g.edges[e] for e in range(g.edge_count) if chosen >> e & 1]
     cand = canonical_candidate(g, [e for e in range(g.edge_count) if chosen >> e & 1])
-    comps = subgraph_components(g, cand)
+    comps = subgraph_components_by_edges(g, cand.edge_ids, cand.extra_vertices)
     dist = floyd_warshall(g)
     need = sum(1 << v for v in range(g.vertex_count) if g.degree(v) >= 3)
     for u, v in edges:
@@ -250,7 +254,7 @@ def test_proximity_matches_distance_table_route(g, data):
     # on multigraphs with parallel edges, connected or not.
     chosen = data.draw(st.integers(0, (1 << g.edge_count) - 1))
     h = canonical_candidate(g, [e for e in range(g.edge_count) if chosen >> e & 1])
-    comps = subgraph_components(g, h)
+    comps = subgraph_components_by_edges(g, h.edge_ids, h.extra_vertices)
     dist = floyd_warshall(g)
     for k in (1, 2, 3, 4):
         got = check_conditions(g, h, k, VARIANT_EUP).proximity
@@ -335,7 +339,7 @@ def test_proximity_equals_bipartition_reading():
 
     g = fig1()
     h = subgraph(g, (0, 1), {5, 8, 11})
-    comps = subgraph_components(g, h)
+    comps = subgraph_components_by_edges(g, h.edge_ids, h.extra_vertices)
     dist = floyd_warshall(g)
     for k in (1, 2, 3, 4):
         ok, _ = proximity_by_distances(comps, dist, k)

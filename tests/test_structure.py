@@ -16,7 +16,6 @@ from itline.graphcore import (
     DisconnectedGraphError,
     MultiGraph,
     Trail,
-    bridges,
     diameter,
     validate_trail,
 )
@@ -239,13 +238,13 @@ def test_trail_search_trees_are_pinned():
     # takes max_trail from 398 to 255 nodes and the open dominating search
     # from 1,458 to 654, and skipping bridges takes the closed search from
     # 523 to 70.  The bridge-tree bound and stop take max_trail on fig3(1,6)
-    # from 255 to 14 nodes, on fig3(2,7) from 282 to 16 and on fig4b(1)
+    # from 255 to 13 nodes, on fig3(2,7) from 282 to 15 and on fig4b(1)
     # from 948 to 51.  A lost prune grows a tree past its pin.
     open_search = partial(find_dominating_trail, closed=False)
     closed_search = partial(find_dominating_trail, closed=True)
     cases = (
-        (fig3(1, 6), max_trail, 14),
-        (fig3(2, 7), max_trail, 16),
+        (fig3(1, 6), max_trail, 13),
+        (fig3(2, 7), max_trail, 15),
         (fig3(1, 6), open_search, 654),
         (fig3(1, 6), closed_search, 70),
         (fig4b(1), max_trail, 51),
@@ -260,13 +259,13 @@ def test_max_trail_on_a_long_caterpillar():
     # A 500-vertex spine with a leaf at every spine vertex.  The reach bound
     # alone spends 200,000 nodes (~29 s) here without an answer.  With the
     # bridge-tree bound, the walk from the first leaf, 500, runs along the
-    # spine to the leaf 999, the tree's best path, in 503 nodes; from the
+    # spine to the leaf 999, the tree's best path, in 502 nodes; from the
     # smallest odd id, the spine vertex 1, it would take 1,999.
     g = MultiGraph(1000, path(500).edges + tuple((i, 500 + i) for i in range(500)))
-    mt = max_trail(g, node_budget=503)
+    mt = max_trail(g, node_budget=502)
     assert (mt.mt_star, mt.d3_star) == (502, 0)
-    starved = max_trail(g, node_budget=502)
-    assert isinstance(starved, Unknown) and starved.budget_spent == 503
+    starved = max_trail(g, node_budget=501)
+    assert isinstance(starved, Unknown) and starved.budget_spent == 502
 
 
 def _reversed_copy(g):
@@ -277,10 +276,10 @@ def _reversed_copy(g):
 def test_max_trail_node_count_does_not_depend_on_labels():
     # Open walks start at the leaves first, so the first descent on fig3
     # runs from a leaf whatever the numbering.  Starting at the smallest odd
-    # id instead, fig3(1,6) would take 14 to 51 nodes over relabelings and
-    # 43 with its labels reversed.
+    # id instead, fig3(1,6) would take 13 to 53 nodes over 200 relabelings
+    # and 43 with its labels reversed.
     rng = random.Random(20)
-    for s, t, nodes in ((1, 6, 14), (2, 7, 16), (3, 8, 18)):
+    for s, t, nodes in ((1, 6, 13), (2, 7, 15), (3, 8, 17)):
         g = fig3(s, t)
         for h in [g, _reversed_copy(g)] + [relabeled_copy(g, rng) for _ in range(8)]:
             mt = max_trail(h, node_budget=nodes)
@@ -392,31 +391,32 @@ def _count_tree_builds(monkeypatch):
     return dfs, valued
 
 
-def test_bridge_pass_waits_for_a_dead_end(monkeypatch):
-    # The bridge tree is built only once the first descent ends short of all
-    # n vertices, so K5 (still 7 nodes, see above) and path(1500) make no pass.
-    calls, _ = _count_tree_builds(monkeypatch)
+def test_max_trail_reads_the_bridge_tree_before_the_walk(monkeypatch):
+    # Every max_trail reads the tree once before its walk, and values its
+    # paths only when the graph has a bridge: K5 (still 7 nodes, see above)
+    # and cycle(1500) are bridgeless, path(1500) is all bridges.
+    dfs, valued = _count_tree_builds(monkeypatch)
     assert max_trail(complete(5)).mt_star == 5
+    assert max_trail(cycle(1500)).mt_star == 1500
+    assert len(dfs) == 2 and not valued
     assert max_trail(path(1500)).mt_star == 1500
-    assert not calls
-    assert max_trail(fig3(1, 6)).mt_star == 13
-    assert len(calls) == 1
+    assert len(dfs) == 3 and len(valued) == 1
 
 
 def test_one_bridge_tree_per_graph(monkeypatch):
     # On one graph object, the level-1 certificates, the closed dominating
     # search, the bounds and two more maximum trails run one lowpoint DFS and
     # value the tree's paths once; each used to run its own.  Every max_trail
-    # still reads the cached tree at its first dead end, so a warm graph
-    # spends what a fresh one does: 14 nodes on fig3(1,6), as pinned above.
+    # reads the cached tree before its walk, so a warm graph spends what a
+    # fresh one does: 13 nodes on fig3(1,6), as pinned above.
     dfs, valued = _count_tree_builds(monkeypatch)
     g = fig3(1, 6)
     assert (hamiltonian_path_index(g).value, hamiltonian_index(g).value) == (3, 6)
     assert compute_bounds(g).mt_star == 13
-    first, again = (max_trail(g, node_budget=14) for _ in range(2))
+    first, again = (max_trail(g, node_budget=13) for _ in range(2))
     assert isinstance(first, MaxTrailResult) and first == again
-    for starved in (max_trail(g, node_budget=13) for _ in range(2)):
-        assert isinstance(starved, Unknown) and starved.budget_spent == 14
+    for starved in (max_trail(g, node_budget=12) for _ in range(2)):
+        assert isinstance(starved, Unknown) and starved.budget_spent == 13
     assert len(dfs) == len(valued) == 1
     tree, paths = g.bridge_tree, g.bridge_tree_paths
     assert all(type(part) is tuple for part in (*tree[:3], paths.exits, *paths.exits))
@@ -435,7 +435,7 @@ def test_long_inputs_get_an_answer():
         (MultiGraph(3000, tuple(chained)), 999),
     )
     for g, bridge_count in cases:
-        assert len(bridges(g)) == bridge_count
+        assert g.bridge_tree.bridge_mask.bit_count() == bridge_count
         for closed in (False, True):
             assert isinstance(bridge_tree_rules_out_trail(g, closed), bool)
         mt = max_trail(g)
