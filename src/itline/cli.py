@@ -39,7 +39,7 @@ from .indices import (
     hamiltonian_index,
     hamiltonian_path_index,
 )
-from .linegraph import iterated_line_graph
+from .linegraph import DEFAULT_CAP, iterated_line_graph
 from . import families
 
 
@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("linegraph", help="apply the line-graph operator")
     p.add_argument("--iterate", type=int, default=1)
-    p.add_argument("--cap", type=int, default=5000, help="vertex cap for every level built")
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="vertex cap for every level built")
     _add_graph_input(p, output_format=True)
     p.set_defaults(fn=_cmd_linegraph)
 

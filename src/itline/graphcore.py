@@ -114,6 +114,12 @@ class MultiGraph:
         return tuple(nbr)
 
     @cached_property
+    def v3_mask(self) -> int:
+        """The vertices of degree >= 3, counting parallel edges, as a bitmask:
+        the coverage set of EU_k/EUP_k and the set that d3* and d3** count."""
+        return sum(1 << v for v, ids in enumerate(self.incidence) if len(ids) >= 3)
+
+    @cached_property
     def connected(self) -> bool:
         """True iff the graph has a vertex and a single component."""
         everyone = (1 << self.vertex_count) - 1
@@ -362,8 +368,7 @@ def _bridge_tree_paths(g: MultiGraph) -> BridgePaths:
     """
     pieces, piece_of, up, _ = g.bridge_tree
     scale, k = g.vertex_count + 1, len(pieces)
-    v3_mask = sum(1 << v for v, ids in enumerate(g.incidence) if len(ids) >= 3)
-    weight = [p.bit_count() * scale + (p & v3_mask).bit_count() for p in pieces]
+    weight = [p.bit_count() * scale + (p & g.v3_mask).bit_count() for p in pieces]
     edges = g.edges
     parent = [-1] * k
     first = [(0, g.edge_count)] * k
@@ -466,30 +471,23 @@ def subgraph(g: MultiGraph, edge_ids: Iterable[int], extra_vertices: Iterable[in
     return h
 
 
-def subgraph_degrees(g: MultiGraph, h: SubgraphH) -> dict[int, int]:
-    """Degree within the subgraph for every vertex of the subgraph."""
-    degs = {v: 0 for v in h.extra_vertices}
-    for eid in h.edge_ids:
-        u, v = g.endpoints(eid)
-        degs[u] = degs.get(u, 0) + 1
-        degs[v] = degs.get(v, 0) + 1
-    return degs
-
-
-def _component_masks(g: MultiGraph, h: SubgraphH) -> list[int]:
-    """The connected components of the subgraph as vertex masks, by smallest
-    member; each extra vertex is its own component."""
+def _subgraph_masks(g: MultiGraph, h: SubgraphH) -> tuple[int, int, list[int]]:
+    """H's vertices, odd-degree vertices and components (by smallest member,
+    each extra vertex its own) as vertex masks, from one pass over H's edges,
+    whose ids must be valid in ``g``: they are read unchecked."""
+    edges = g.edges
     nbr = [0] * g.vertex_count
-    verts = 0
-    for v in h.extra_vertices:
-        g.check_vertex(v)
-        verts |= 1 << v
+    verts = odd = 0
     for eid in h.edge_ids:
-        u, v = g.endpoints(eid)
+        u, v = edges[eid]
         nbr[u] |= 1 << v
         nbr[v] |= 1 << u
-        verts |= (1 << u) | (1 << v)
-    return _split(nbr, verts)
+        pair = (1 << u) | (1 << v)
+        verts |= pair
+        odd ^= pair
+    for v in h.extra_vertices:
+        verts |= 1 << v
+    return verts, odd, _split(nbr, verts)
 
 
 # ---------------------------------------------------------------------------
@@ -664,21 +662,13 @@ def parse_graph6(text: str) -> MultiGraph:
             f"graph6 body for n={n} needs {need} bytes, got {len(data) - pos}",
             offset=pos,
         )
-    bits = []
-    for b in data[pos:]:
-        val = b - 63
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
-    for k in range(nbits, len(bits)):
-        if bits[k]:
-            raise ParseError("nonzero padding bits in graph6 body", offset=pos + k // 6)
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return MultiGraph(n, tuple(edges))
+    # Byte t of the body holds pairs 6t..6t+5, the first as its most
+    # significant bit, so the body's bits, reversed, read as the pair mask.
+    bits = "".join(f"{b - 63:06b}" for b in data[pos:])
+    mask = int(bits[::-1] or "0", 2)
+    if mask >> nbits:
+        raise ParseError("nonzero padding bits in graph6 body", offset=len(data) - 1)
+    return graph_from_mask(n, mask)
 
 
 def _graph6_header(n: int) -> list[int]:
@@ -793,3 +783,15 @@ def graph6_from_mask(n: int, mask: int) -> str:
     nbits = n * (n - 1) // 2
     body = [_REVERSED_6[mask >> k & 63] + 63 for k in range(0, nbits, 6)]
     return bytes(_graph6_header(n) + body).decode("ascii")
+
+
+def graph_from_mask(n: int, mask: int) -> MultiGraph:
+    """The simple graph whose pair (i, j), i < j, is an edge iff bit j(j-1)/2 + i
+    of ``mask`` is set (the pair order of :func:`graph6_from_mask` and the canonical
+    keys); the mask is read once, as a bit string, so long graphs decode in linear time."""
+    bits = f"{mask:b}"[::-1]
+    edges = []
+    for j in range(1, n):
+        row = bits[j * (j - 1) // 2:j * (j + 1) // 2]
+        edges.extend((i, j) for i, c in enumerate(row) if c == "1")
+    return MultiGraph(n, tuple(edges))

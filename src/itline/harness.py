@@ -32,6 +32,7 @@ from .graphcore import (
     _canonical_code,
     bfs_distances,
     graph6_from_mask,
+    graph_from_mask,
     mask_members,
 )
 from .hamilton import has_hamiltonian_cycle, has_hamiltonian_path
@@ -67,18 +68,6 @@ def canonical_key(g: MultiGraph) -> tuple[int, int]:
     if len(set(pairs)) != len(pairs):
         raise InputError("canonical_key is defined for simple graphs only")
     return (g.vertex_count, _canonical_code(g.vertex_count, pairs, 2))
-
-
-def graph_from_key(key: tuple[int, int]) -> MultiGraph:
-    n, mask = key
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if mask >> idx & 1:
-                edges.append((i, j))
-            idx += 1
-    return MultiGraph(n, tuple(edges))
 
 
 def graph_id(g: MultiGraph) -> str:
@@ -149,7 +138,7 @@ def enumerate_connected_graphs(
             if key in seen:
                 continue
             seen.add(key)
-            yield graph_from_key(key)
+            yield graph_from_mask(*key)
 
 
 def enumerate_trees(n: int) -> list[MultiGraph]:
@@ -165,11 +154,11 @@ def enumerate_trees(n: int) -> list[MultiGraph]:
     for size in range(2, n + 1):
         grown: dict[tuple[int, int], None] = {}
         for key in keys:
-            edges = graph_from_key(key).edges
+            edges = graph_from_mask(*key).edges
             for v in range(size - 1):
                 grown[canonical_key(MultiGraph(size, edges + ((v, size - 1),)))] = None
         keys = list(grown)
-    return [graph_from_key(key) for key in keys]
+    return [graph_from_mask(*key) for key in keys]
 
 
 def corpus_graphs(max_vertices: int) -> list[MultiGraph]:

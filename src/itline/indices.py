@@ -17,7 +17,7 @@ method and witness is the one the searches alone would give.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, islice
 
 from .budget import Unknown, default_node_budget
 from .eup import VARIANT_EU, VARIANT_EUP, find_witness
@@ -32,7 +32,7 @@ from .graphcore import (
     trail_from_order,
 )
 from .hamilton import has_hamiltonian_cycle, has_hamiltonian_path
-from .linegraph import CapExceededError, EdgelessGraphError, iterated_line_graph
+from .linegraph import CapExceededError, EdgelessGraphError, _levels
 from .structure import (
     branches,
     bridge_tree_rules_out_trail,
@@ -212,9 +212,8 @@ def delta_prime(g: MultiGraph) -> int:
 def d3_doublestar(g: MultiGraph) -> int:
     """Most degree->=3 vertices outside N(v), over vertices v with |N(v)| maximal."""
     dp = delta_prime(g)
-    v3 = sum(1 << v for v, ids in enumerate(g.incidence) if len(ids) >= 3)
     return max(
-        ((v3 & ~m).bit_count() for m in g.neighbor_masks if m.bit_count() == dp), default=0
+        ((g.v3_mask & ~m).bit_count() for m in g.neighbor_masks if m.bit_count() == dp), default=0
     )
 
 
@@ -290,26 +289,22 @@ def direct_index_cross_check(
     g: MultiGraph,
     claimed: IndexResult,
     *,
-    build_cap: int = 5000,
     node_budget: int | None = None,
     time_limit: float | None = None,
 ) -> CrossCheck:
     """Rebuild the iterated line graphs and test the claimed index directly.
 
     Expects failure of the target property at level value-1 and success at
-    level value; construction or oracle limits yield cap_exceeded, never a
-    false confirmation.
+    level value; each level is built once, from the level before, under
+    :func:`~itline.linegraph.iterated_line_graph`'s cap.  Construction or
+    oracle limits yield cap_exceeded, never a false confirmation.
     """
     oracle = has_hamiltonian_path if claimed.kind == "hp" else has_hamiltonian_cycle
-
-    def level(j: int) -> MultiGraph:
-        return g if j == 0 else iterated_line_graph(g, j, cap=build_cap)
-
+    levels = _levels(g)
     try:
         if claimed.value >= 1:
-            below = oracle(
-                level(claimed.value - 1), node_budget=node_budget, time_limit=time_limit
-            )
+            lower = next(islice(levels, claimed.value - 1, None))
+            below = oracle(lower, node_budget=node_budget, time_limit=time_limit)
             if isinstance(below, Unknown):
                 return CrossCheck("cap_exceeded", f"oracle undecided at level {claimed.value - 1}")
             if below.value:
@@ -317,7 +312,7 @@ def direct_index_cross_check(
                     "mismatch",
                     f"level {claimed.value - 1} already satisfies the {claimed.kind} target",
                 )
-        at = oracle(level(claimed.value), node_budget=node_budget, time_limit=time_limit)
+        at = oracle(next(levels), node_budget=node_budget, time_limit=time_limit)
         if isinstance(at, Unknown):
             return CrossCheck("cap_exceeded", f"oracle undecided at level {claimed.value}")
         if not at.value:

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count, islice
+from typing import Iterator
 
 from .graphcore import GraphError, InputError, MultiGraph, _unchecked, mask_members
 
@@ -31,10 +32,9 @@ class CapExceededError(GraphError):
 
 @dataclass(frozen=True)
 class LineGraphResult:
-    """A line graph and its ``origin``, which is always ``range(m)``: vertex i is edge i."""
+    """A line graph, whose vertex i is edge i of the graph it was built from."""
 
     graph: MultiGraph
-    origin: tuple[int, ...]
 
 
 def line_graph(g: MultiGraph) -> LineGraphResult:
@@ -50,10 +50,14 @@ def line_graph(g: MultiGraph) -> LineGraphResult:
     for ids in g.incidence:
         pairs.update(combinations(ids, 2))  # ids ascend, so each pair does
     lg = _unchecked(MultiGraph, m, tuple(sorted(pairs)))
-    return LineGraphResult(lg, tuple(range(m)))
+    return LineGraphResult(lg)
 
 
-def iterated_line_graph(g: MultiGraph, n: int, cap: int = 5000) -> MultiGraph:
+#: The vertex cap on every level built, unless a caller widens it.
+DEFAULT_CAP = 5000
+
+
+def iterated_line_graph(g: MultiGraph, n: int, cap: int = DEFAULT_CAP) -> MultiGraph:
     """Apply the line-graph operator ``n`` times.
 
     Sizes grow superexponentially, so the construction aborts with
@@ -62,8 +66,15 @@ def iterated_line_graph(g: MultiGraph, n: int, cap: int = 5000) -> MultiGraph:
     """
     if n < 1:
         raise InputError(f"iteration count must be >= 1, got {n}")
+    return next(islice(_levels(g, cap), n, None))
+
+
+def _levels(g: MultiGraph, cap: int = DEFAULT_CAP) -> Iterator[MultiGraph]:
+    """G, L(G), L^2(G), ..., each level built once from the one before; a
+    level that is undefined or over ``cap`` vertices raises, naming it."""
     cur = g
-    for level in range(1, n + 1):
+    for level in count(1):
+        yield cur
         if cur.edge_count == 0:
             raise EdgelessGraphError(
                 f"graph at level {level - 1} has no edges; level {level} is undefined",
@@ -72,7 +83,6 @@ def iterated_line_graph(g: MultiGraph, n: int, cap: int = 5000) -> MultiGraph:
         if cur.edge_count > cap:
             raise CapExceededError(level=level, size=cur.edge_count, cap=cap)
         cur = line_graph(cur).graph
-    return cur
 
 
 def is_claw_free(g: MultiGraph) -> bool:

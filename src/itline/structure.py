@@ -65,6 +65,7 @@ from .graphcore import (
     Trail,
     _unchecked,
     is_connected,
+    mask_members,
     trivial_trail,
 )
 
@@ -86,7 +87,7 @@ def degree_classes(g: MultiGraph) -> DegreeClasses:
     for v in range(g.vertex_count):
         by_degree.setdefault(g.degree(v), set()).add(v)
     frozen = {d: frozenset(vs) for d, vs in by_degree.items()}
-    v_ge3 = frozenset(v for v in range(g.vertex_count) if g.degree(v) >= 3)
+    v_ge3 = frozenset(mask_members(g.v3_mask))
     w = frozenset(v for v in range(g.vertex_count) if g.degree(v) != 2)
     return DegreeClasses(frozen, v_ge3, w)
 
@@ -337,7 +338,7 @@ def max_trail(
         raise DisconnectedGraphError("max_trail requires a connected graph")
     n, m = g.vertex_count, g.edge_count
     inc, ends = g.incidence, g.ends
-    v3_mask = sum(1 << v for v, ids in enumerate(inc) if len(ids) >= 3)
+    v3_mask = g.v3_mask
     inc_mask = [0] * n
     for eid, (x, y) in enumerate(g.edges):
         inc_mask[x] |= 1 << eid

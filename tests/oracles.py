@@ -27,6 +27,11 @@ def neighbor_sets(g: MultiGraph) -> list[set[int]]:
     return nbrs
 
 
+def degrees_by_edge_scan(g: MultiGraph) -> list[int]:
+    """Each vertex's degree, parallel edges counted, read off the edge list."""
+    return [sum(x in e for e in g.edges) for x in range(g.vertex_count)]
+
+
 def layered_reach(g: MultiGraph, seed: set[int], within: set[int], radius: int | None) -> set[int]:
     """The seed plus every vertex of ``within`` joined to it by a path of at
     most ``radius`` steps (any length when None) whose other vertices all
@@ -314,7 +319,7 @@ def brute_bridge_tree(g: MultiGraph):
            if len(_components(n, edges[:eid] + edges[eid + 1:])) > count}
     pieces = _components(n, [e for eid, e in enumerate(edges) if eid not in cut])
     home = {x: p for p in pieces for x in p}
-    degree = [sum(x in e for e in edges) for x in range(n)]
+    degree = degrees_by_edge_scan(g)
     weight = {p: len(p) * (n + 1) + sum(degree[x] >= 3 for x in p) for p in pieces}
     links = {p: [] for p in pieces}
     for eid in cut:

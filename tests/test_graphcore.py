@@ -14,12 +14,13 @@ from itline.graphcore import (
     MultiGraph,
     ParseError,
     Trail,
-    _component_masks,
     _flood,
+    _subgraph_masks,
     bfs_distances,
     connected_components,
     diameter,
     graph6_from_mask,
+    graph_from_mask,
     is_connected,
     parse_edgelist,
     parse_graph6,
@@ -36,6 +37,7 @@ from .conftest import doubled_multigraphs, multigraphs, simple_graphs
 from .oracles import (
     brute_bridge_tree,
     brute_subgraph_distance,
+    degrees_by_edge_scan,
     floyd_warshall,
     layered_reach,
     neighbor_sets,
@@ -56,6 +58,14 @@ def test_endpoint_out_of_range():
 
 def test_degree_counts_parallel_edges():
     assert two_cycle().degree(0) == 2
+
+
+@given(doubled_multigraphs(max_vertices=8, max_edges=12))
+def test_v3_mask_matches_degree_count_and_is_cached(g):
+    # Computed on the first read and kept on the graph object.
+    assert "v3_mask" not in vars(g)
+    want = sum(1 << x for x, d in enumerate(degrees_by_edge_scan(g)) if d >= 3)
+    assert g.v3_mask == want and vars(g)["v3_mask"] == want
 
 
 def test_degree_isolated_vertex():
@@ -209,8 +219,11 @@ def test_subgraph_components_match_edge_merging(g, data):
     touched = {v for eid in chosen for v in g.edges[eid]}
     extras = data.draw(st.sets(st.sampled_from(range(g.vertex_count)))) - touched
     h = subgraph(g, chosen, extras)
-    got = tuple(_members(c) for c in _component_masks(g, h))
-    assert got == subgraph_components_by_edges(g, chosen, extras)
+    verts, odd, comps = _subgraph_masks(g, h)
+    assert tuple(_members(c) for c in comps) == subgraph_components_by_edges(g, chosen, extras)
+    assert _members(verts) == touched | extras
+    degree_in_h = [sum(x in g.edges[eid] for eid in chosen) for x in range(g.vertex_count)]
+    assert _members(odd) == {x for x, d in enumerate(degree_in_h) if d % 2}
 
 
 @given(doubled_multigraphs(max_vertices=6, max_edges=8), st.data())
@@ -287,7 +300,7 @@ def test_subgraph_extras_must_be_isolated():
 def test_subgraph_components_extras_are_singletons():
     g = path(5)
     h = subgraph(g, {0}, {3})
-    assert _component_masks(g, h) == [0b11, 1 << 3]
+    assert _subgraph_masks(g, h)[2] == [0b11, 1 << 3]
 
 
 # --- trails ---------------------------------------------------------------
@@ -381,6 +394,7 @@ def test_graph6_from_mask_matches_to_graph6(n):
         assert encoded == to_graph6(g)
         assert encoded.startswith("~") == (n >= 63)
         assert parse_graph6(encoded) == g
+        assert graph_from_mask(n, mask) == g
 
 
 def test_graph6_rejects_multigraph_on_encode():

@@ -8,7 +8,7 @@ from functools import partial
 import pytest
 from hypothesis import given, settings
 
-from itline import indices
+from itline import indices, linegraph
 from itline.budget import Unknown
 from itline.eup import find_witness
 from itline.families import complete, cycle, fig1, fig2, fig3, fig4b, path, star, two_cycle
@@ -353,10 +353,30 @@ def test_cross_check_detects_wrong_claims():
 
 
 def test_cross_check_cap_exceeded():
-    g = complete(5)
-    r = hamiltonian_index(g)
-    check = direct_index_cross_check(g, r, build_cap=3)
-    assert r.value == 0  # K_5 is hamiltonian; level 0 needs no construction
-    assert check.status == "confirmed"
-    r2 = IndexResult(2, "EU-witness", "h")
-    assert direct_index_cross_check(g, r2, build_cap=3).status == "cap_exceeded"
+    # L^3(K6) has 5,460 edges, so level 4 is over the cap of 5,000 vertices:
+    # a claim at level 5 stops where it would build level 4.
+    check = direct_index_cross_check(complete(6), IndexResult(5, "EU-witness", "h"))
+    assert (check.status, check.detail) == (
+        "cap_exceeded",
+        "line-graph iteration stopped at level 4: 5460 vertices exceeds cap 5000",
+    )
+
+
+def test_cross_check_builds_each_level_once(monkeypatch):
+    # Each level is the line graph of the one before.  On fig3(1,6), hp = 3
+    # reads levels 2 and 3 (3 builds), and h = 6 reads level 5 and stops
+    # at level 6, which is over the cap (5 builds); K5 is hamiltonian at
+    # level 0, which needs no build.
+    claims = [
+        (fig3(1, 6), hamiltonian_path_index(fig3(1, 6)), 3, "levels 2,3 behave as claimed"),
+        (fig3(1, 6), hamiltonian_index(fig3(1, 6)), 5,
+         "line-graph iteration stopped at level 6: 77982 vertices exceeds cap 5000"),
+        (complete(5), hamiltonian_index(complete(5)), 0, "level 0 behaves as claimed"),
+    ]
+    built = []
+    build = linegraph.line_graph
+    monkeypatch.setattr(linegraph, "line_graph", lambda g: built.append(g) or build(g))
+    for g, claimed, builds, detail in claims:
+        built.clear()
+        assert direct_index_cross_check(g, claimed).detail == detail
+        assert len(built) == builds
