@@ -38,10 +38,12 @@ from .graphcore import (
     SubgraphH,
     _flood,
     _subgraph_masks,
+    _unchecked,
     is_connected,
     mask_members,
     subgraph,
 )
+from . import structure
 from .structure import branches, cycle_component_edges
 
 VARIANT_EU = "eu"
@@ -59,6 +61,9 @@ def _norm_variant(variant: str) -> str:
 class Verdict:
     ok: bool
     detail: str = ""
+
+
+_PASS = Verdict(True)
 
 
 @dataclass(frozen=True)
@@ -115,17 +120,18 @@ def _proximity_ok(g: MultiGraph, comps: list[int], k: int) -> tuple[bool, str]:
     Equivalent to: for every bipartition of the components, some cross pair
     is within distance k-1; checked as connectivity of the threshold graph.
     The class of the first component grows by every component that meets
-    the radius-(k-1) ball of a component already in it, so each component's
-    ball is grown once, by a flood cut at radius k-1.
+    the radius-(k-1) ball of the components that joined it last, so each
+    component's ball is grown once, by one flood cut at radius k-1 per
+    round of joins.
     """
     if len(comps) <= 1:
         return True, ""
     threshold = k - 1
     nbr = g.neighbor_masks
-    rest, todo = comps[1:], comps[:1]
+    rest, todo = comps[1:], comps[0]
     while todo and rest:
-        hit = _flood(nbr, todo.pop(), radius=threshold)
-        todo += [c for c in rest if c & hit]
+        hit = _flood(nbr, todo, radius=threshold)
+        todo = sum(c for c in rest if c & hit)  # the components are disjoint
         rest = [c for c in rest if not c & hit]
     if not rest:
         return True, ""
@@ -165,18 +171,18 @@ def check_conditions(g: MultiGraph, h: SubgraphH, k: int, variant: str) -> Condi
 def _conditions(g: MultiGraph, h: SubgraphH, k: int, variant: str, blist) -> ConditionReport:
     """:func:`check_conditions` of a subgraph valid in ``g``, given G's branches."""
     verts, odd_mask, comps = _subgraph_masks(g, h)
-    odd = mask_members(odd_mask)
-    parity = Verdict(True)
-    if variant == VARIANT_EU and odd:
-        parity = Verdict(False, f"odd degree in H at vertex {odd[0]}")
-    elif len(odd) > 2:
+    parity = _PASS
+    if variant == VARIANT_EU and odd_mask:
+        parity = Verdict(False, f"odd degree in H at vertex {mask_members(odd_mask)[0]}")
+    elif odd_mask.bit_count() > 2:
+        odd = mask_members(odd_mask)
         parity = Verdict(False, f"{len(odd)} odd vertices in H: {odd}")
 
     # H's isolated vertices are its extra vertices.
     v3 = g.v3_mask
     bad_isolated = [v for v in h.extra_vertices if not v3 >> v & 1]
     missing = v3 & ~verts
-    coverage = Verdict(True)
+    coverage = _PASS
     if bad_isolated:
         v = min(bad_isolated)
         coverage = Verdict(False, f"isolated vertex {v} has degree {g.degree(v)} < 3 in G")
@@ -184,27 +190,28 @@ def _conditions(g: MultiGraph, h: SubgraphH, k: int, variant: str, blist) -> Con
         v = (missing & -missing).bit_length() - 1
         coverage = Verdict(False, f"degree->=3 vertex {v} is not in H")
 
-    proximity = Verdict(*_proximity_ok(g, comps, k))
+    ok, detail = _proximity_ok(g, comps, k)
+    proximity = _PASS if ok else Verdict(False, detail)
 
-    avoided = Verdict(True)
-    pendant = Verdict(True)
+    # Only branches of more than k edges can fail either branch condition.
+    avoided = pendant = _PASS
     hedges = h.edge_ids
     for b in blist:
+        length = len(b.edge_ids)
+        if length <= k:
+            continue
         disjoint = hedges.isdisjoint(b.edge_ids)
-        if disjoint and b.length > k + 1 and avoided.ok:
+        if disjoint and length > k + 1 and avoided.ok:
             avoided = Verdict(
                 False,
-                f"branch {list(b.vertices)} with {b.length} edges avoids H (limit {k + 1})",
+                f"branch {list(b.vertices)} with {length} edges avoids H (limit {k + 1})",
             )
-        if b.touches_degree_one and b.length > k:
-            if variant == VARIANT_EU or disjoint:
-                if pendant.ok:
-                    qualifier = "" if variant == VARIANT_EU else " and avoids H"
-                    pendant = Verdict(
-                        False,
-                        f"pendant branch {list(b.vertices)} has {b.length} edges"
-                        f"{qualifier} (limit {k})",
-                    )
+        if b.touches_degree_one and (variant == VARIANT_EU or disjoint) and pendant.ok:
+            qualifier = "" if variant == VARIANT_EU else " and avoids H"
+            pendant = Verdict(
+                False,
+                f"pendant branch {list(b.vertices)} has {length} edges{qualifier} (limit {k})",
+            )
     return ConditionReport(variant, k, parity, coverage, proximity, avoided, pendant)
 
 
@@ -216,11 +223,19 @@ def canonical_candidate(g: MultiGraph, edge_ids) -> SubgraphH:
     searching over edge sets alone is complete.
     """
     edge_ids = frozenset(edge_ids)
+    for eid in edge_ids:
+        g.endpoints(eid)  # validates the edge id
+    return _candidate(g, frozenset(map(int, edge_ids)))
+
+
+def _candidate(g: MultiGraph, edge_ids: frozenset[int]) -> SubgraphH:
+    """:func:`canonical_candidate` of edge ids valid in ``g``, read unchecked."""
+    edges = g.edges
     covered = 0
     for eid in edge_ids:
-        u, v = g.endpoints(eid)  # validates the edge id
-        covered |= (1 << u) | (1 << v)
-    return SubgraphH(edge_ids, frozenset(mask_members(g.v3_mask & ~covered)))
+        u, v = edges[eid]
+        covered |= 1 << u | 1 << v
+    return _unchecked(SubgraphH, edge_ids, frozenset(mask_members(g.v3_mask & ~covered)))
 
 
 def witness_to_json(h: SubgraphH, report: ConditionReport) -> dict:
@@ -254,9 +269,10 @@ def find_witness(
     class, and an exclude regrows the class only when it takes a vertex out
     of the items and the class may split.  At the last depth the available
     items are exactly the leaf's subgraph, so a leaf that gets there
-    satisfies every condition; it is built with :func:`canonical_candidate`
-    and rechecked by the conditions of :func:`check_conditions`, on the
-    branches walked here, before it is returned.  A sound prune cannot
+    satisfies every condition; it is built as :func:`canonical_candidate`
+    builds it, without rechecking edge ids the search produced, and
+    rechecked by the conditions of :func:`check_conditions`, on the branches
+    walked here, before it is returned.  A sound prune cannot
     change the first witness in search order.  The empty subgraph is not
     considered a witness.
     """
@@ -267,7 +283,7 @@ def find_witness(
         raise DisconnectedGraphError("witness search requires a connected graph")
     n, m = g.vertex_count, g.edge_count
     edges = g.edges
-    blist = branches(g)
+    blist, _ = structure._branch_walk(g)
 
     # A pendant branch of more than k edges fails EU outright, since EU's
     # pendant condition ignores H, and for EUP it must meet H.  The H-edge
@@ -275,14 +291,14 @@ def find_witness(
     # more such branches than the parity budget (0 for EU, 2 for EUP) leave
     # no witness, decided up front for the whole graph.
     odd_budget = 0 if variant == VARIANT_EU else 2
-    if sum(b.touches_degree_one and b.length > k for b in blist) > odd_budget:
+    if sum(touches and len(eids) > k for _, eids, _, touches in blist) > odd_budget:
         return None
 
-    # Branches that fail when avoided are decided first, then longer ones.
-    # A pendant one fails past k edges (for EU none is left, see above).
+    # Branches that fail when avoided are decided first, then longer ones,
+    # ties by edge ids, in the one sort of the walk's branches.  A pendant
+    # one fails past k edges (for EU none is left, see above).
     keyed = sorted(
-        (b.length <= (k if b.touches_degree_one else k + 1), -b.length, b.edge_ids)
-        for b in blist
+        (len(eids) <= (k if touches else k + 1), -len(eids), eids) for _, eids, _, touches in blist
     )
     bbad = [not fine for fine, _, _ in keyed]
     bsize = [len(eids) for _, _, eids in keyed]
@@ -301,7 +317,7 @@ def find_witness(
     radius = k - 1
     ball = _ball_masks(g, radius)
     end_mask = [(1 << u) | (1 << v) for u, v in edges]
-    undecided = [len(ids) for ids in g.incidence]
+    undecided = list(map(len, g.incidence))
     v3_mask = g.v3_mask
     # A list: mask shifts in the exclude step made fig4b(1) ~1.7x slower.
     high = [v3_mask >> v & 1 for v in range(n)]
@@ -443,7 +459,7 @@ def find_witness(
                 take[i] = -1
                 need_at[i], alive_at[i], reach_at[i] = need, alive, reach
             elif need:
-                candidate = canonical_candidate(g, compress(range(m), inS))
+                candidate = _candidate(g, frozenset(compress(range(m), inS)))
                 if not _conditions(g, candidate, k, variant, blist).overall:
                     raise GraphError(
                         "internal: search produced a candidate its own recheck rejects"

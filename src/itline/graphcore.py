@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import permutations, product
+from itertools import permutations, product, starmap
+from operator import xor
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -65,6 +65,20 @@ class BridgePaths(NamedTuple):
     best: int
 
 
+class _cached:
+    """:func:`functools.cached_property` without the lock it takes on each first
+    access before Python 3.12, about 1 µs a property of every fresh graph."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.func.__name__] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class MultiGraph:
     """Finite, undirected, loopless multigraph.
@@ -90,21 +104,21 @@ class MultiGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    @cached_property
+    @_cached
     def incidence(self) -> tuple[tuple[int, ...], ...]:
         """Edge ids incident to each vertex, ascending; parallel edges appear once each."""
         inc: list[list[int]] = [[] for _ in range(self.vertex_count)]
         for eid, (u, v) in enumerate(self.edges):
             inc[u].append(eid)
             inc[v].append(eid)
-        return tuple(tuple(ids) for ids in inc)
+        return tuple(map(tuple, inc))
 
-    @cached_property
+    @_cached
     def ends(self) -> tuple[int, ...]:
         """``u ^ v`` per edge (u, v): the far end of ``eid`` from ``x`` is ``ends[eid] ^ x``."""
-        return tuple(u ^ v for u, v in self.edges)
+        return tuple(starmap(xor, self.edges))
 
-    @cached_property
+    @_cached
     def neighbor_masks(self) -> tuple[int, ...]:
         """Distinct neighbours of each vertex as a bitmask (bit w set iff w is adjacent)."""
         nbr = [0] * self.vertex_count
@@ -113,19 +127,19 @@ class MultiGraph:
             nbr[v] |= 1 << u
         return tuple(nbr)
 
-    @cached_property
+    @_cached
     def v3_mask(self) -> int:
         """The vertices of degree >= 3, counting parallel edges, as a bitmask:
         the coverage set of EU_k/EUP_k and the set that d3* and d3** count."""
         return sum(1 << v for v, ids in enumerate(self.incidence) if len(ids) >= 3)
 
-    @cached_property
+    @_cached
     def connected(self) -> bool:
         """True iff the graph has a vertex and a single component."""
         everyone = (1 << self.vertex_count) - 1
         return everyone > 0 and _flood(self.neighbor_masks, 1, everyone) == everyone
 
-    @cached_property
+    @_cached
     def canonical_code(self) -> tuple[int, int]:
         """``(base, code)``, equal exactly for isomorphic graphs: see :func:`_canonical_code`.
 
@@ -136,14 +150,14 @@ class MultiGraph:
         base = 1 + max(Counter(pairs).values(), default=1)
         return base, _canonical_code(self.vertex_count, pairs, base)
 
-    @cached_property
+    @_cached
     def bridge_tree(self) -> BridgeTree:
         """The bridges and 2-edge-connected pieces, from one lowpoint DFS per
         graph object (:func:`_bridge_tree`); every reader of the tree reads it
         here."""
         return _bridge_tree(self)
 
-    @cached_property
+    @_cached
     def bridge_tree_paths(self) -> BridgePaths:
         """Each piece's two best exits and the best path value of the bridge
         tree (:func:`_bridge_tree_paths`), valued once per graph object."""
@@ -172,8 +186,7 @@ class MultiGraph:
 def _unchecked(cls, *values):
     """A frozen dataclass ``cls`` built from known-valid field values, skipping its checks."""
     obj = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, values):
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
     return obj
 
 
@@ -262,11 +275,14 @@ def _flood(nbr: Sequence[int], seed: int, within: int = -1, radius: int | None =
 
 
 def _split(nbr: Sequence[int], rest: int) -> list[int]:
-    """The classes of the vertex set ``rest`` under ``nbr`` as masks, by smallest member."""
+    """The classes of the vertex set ``rest`` under ``nbr`` as masks, by smallest
+    member; a vertex with no neighbour in ``rest`` is a class without a flood."""
     comps = []
     while rest:
-        comps.append(_flood(nbr, rest & -rest, rest))
-        rest ^= comps[-1]
+        low = rest & -rest
+        comp = _flood(nbr, low, rest) if nbr[low.bit_length() - 1] & rest else low
+        comps.append(comp)
+        rest ^= comp
     return comps
 
 
@@ -545,10 +561,12 @@ def trail_from_order(g: MultiGraph, order: Sequence[int], closed: bool = False) 
     eids: dict[int, None] = {}  # insertion-ordered, with set membership
     for a, b in zip(verts, verts[1:]):
         g.check_vertex(a)
-        eid = next((e for e in inc[a] if ends[e] ^ a == b and e not in eids), None)
-        if eid is None:
+        for eid in inc[a]:
+            if ends[eid] ^ a == b and eid not in eids:
+                eids[eid] = None
+                break
+        else:
             raise InputError(f"no unused edge joins {a} and {b}")
-        eids[eid] = None
     return _unchecked(Trail, verts, tuple(eids), verts[0] == verts[-1])
 
 

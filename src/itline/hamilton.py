@@ -77,14 +77,14 @@ def _starts(adj: tuple[int, ...], cycle: bool) -> list[int]:
     none and a graph with a leaf is searched from its smallest leaf only; a
     cycle is anchored at a vertex of least degree.
     """
-    deg = [m.bit_count() for m in adj]
-    by_degree = sorted(range(len(adj)), key=deg.__getitem__)  # stable: ties by id
-    leaves = [v for v in by_degree if deg[v] <= 1]
+    deg = list(map(int.bit_count, adj))
+    least = min(deg)
     if cycle:
-        return [] if leaves else by_degree[:1]
-    if len(leaves) > 2:
-        return []
-    return leaves[:1] or by_degree
+        return [] if least <= 1 else [deg.index(least)]
+    if least <= 1:
+        leaves = [v for v, d in enumerate(deg) if d <= 1]
+        return [] if len(leaves) > 2 else leaves[:1]
+    return sorted(range(len(adj)), key=deg.__getitem__)  # stable: ties by id
 
 
 def _search(g: MultiGraph, cycle: bool, budget: Budget) -> tuple[int, ...] | None:
@@ -131,11 +131,10 @@ def _descend(
         while cand:
             bit = cand & -cand
             cand ^= bit
-            rest = free ^ bit
-            if cycle and rest and not adj[start] & rest:
+            if cycle and free != bit and not adj[start] & (free ^ bit):
                 continue
             w = bit.bit_length() - 1
-            exits = (adj[w] & rest).bit_count()
+            exits = (adj[w] & free).bit_count()  # w is not its own neighbour
             if exits < fewest:
                 best, fewest = w, exits
         if best < 0:

@@ -458,6 +458,8 @@ def run_bounds_campaign(
 def _equivalence_record(
     g: MultiGraph, node_budget: int | None, time_limit: float | None
 ) -> dict:
+    if not g.edge_count:
+        return _record(g, {"skipped": "line graph of an edgeless graph is undefined"}, None)
     lg = line_graph(g).graph
     fields = {}
     searches = []
@@ -485,7 +487,8 @@ def run_equivalence_campaign(
     time_limit: float | None = None,
     workers: int = 1,
 ) -> CampaignReport:
-    """Line-graph hamiltonicity oracles vs dominating-trail search on the base graph."""
+    """Line-graph hamiltonicity oracles vs dominating-trail search on the base
+    graph; an edgeless graph, which has no line graph, is recorded as skipped."""
     return _campaign("equivalence", {}, _equivalence_record, corpus, workers,
                      node_budget, time_limit)
 

@@ -206,7 +206,7 @@ def bound_cor2(g: MultiGraph) -> int:
 
 def delta_prime(g: MultiGraph) -> int:
     """Largest distinct-neighbor count over the vertices."""
-    return max((m.bit_count() for m in g.neighbor_masks), default=0)
+    return max(map(int.bit_count, g.neighbor_masks), default=0)
 
 
 def d3_doublestar(g: MultiGraph) -> int:

@@ -46,9 +46,11 @@ def line_graph(g: MultiGraph) -> LineGraphResult:
     m = g.edge_count
     if m == 0:
         raise EdgelessGraphError("line graph of an edgeless graph is undefined")
-    pairs: set[tuple[int, int]] = set()
-    for ids in g.incidence:
-        pairs.update(combinations(ids, 2))  # ids ascend, so each pair does
+    # ids ascend, so each pair does.
+    pairs = [pair for ids in g.incidence for pair in combinations(ids, 2)]
+    if sum(map(int.bit_count, g.neighbor_masks)) != 2 * m:
+        # Two parallel edges meet at both their ends: each end lists the pair.
+        pairs = set(pairs)
     lg = _unchecked(MultiGraph, m, tuple(sorted(pairs)))
     return LineGraphResult(lg)
 

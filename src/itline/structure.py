@@ -55,7 +55,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .budget import Budget, BudgetExhausted, Unknown
 from .graphcore import (
@@ -92,8 +93,7 @@ def degree_classes(g: MultiGraph) -> DegreeClasses:
     return DegreeClasses(frozen, v_ge3, w)
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     """Maximal path with ends of degree != 2 and degree-2 internal vertices."""
 
     vertices: tuple[int, ...]
@@ -106,47 +106,45 @@ class Branch:
         return len(self.edge_ids)
 
 
-def _branch_walk(g: MultiGraph):
-    """Walk out every branch; returns (branches, used-edge flags)."""
+def _branch_walk(g: MultiGraph) -> tuple[list[Branch], bytearray]:
+    """Walk out every branch, from its ends of degree != 2 in increasing
+    order; returns (branches in walk order, used-edge flags)."""
     inc, ends = g.incidence, g.ends
-    w_set = {v for v, ids in enumerate(inc) if len(ids) != 2}
-    used = [False] * g.edge_count
+    used = bytearray(g.edge_count)
     found: list[Branch] = []
-    for w in sorted(w_set):
-        for start_eid in inc[w]:
-            if used[start_eid]:
+    for w, out in enumerate(inc):
+        if len(out) == 2:
+            continue
+        for eid in out:
+            if used[eid]:
                 continue
             verts = [w]
             eids = []
-            cur_v, cur_e = w, start_eid
+            v = w
             while True:
-                used[cur_e] = True
-                eids.append(cur_e)
-                nxt = ends[cur_e] ^ cur_v
-                verts.append(nxt)
-                if nxt in w_set:
+                used[eid] = 1
+                eids.append(eid)
+                v ^= ends[eid]
+                verts.append(v)
+                around = inc[v]
+                if len(around) != 2:
                     break
-                e1, e2 = inc[nxt]
-                cur_e = e2 if e1 == cur_e else e1
-                cur_v = nxt
+                e1, e2 = around
+                eid = e2 if e1 == eid else e1
             # An open branch runs from its smaller end: its larger end, walked
             # later, finds the branch's edges used.
-            closed = verts[0] == verts[-1]
             found.append(
-                Branch(
-                    tuple(verts),
-                    tuple(eids),
-                    is_closed=closed,
-                    touches_degree_one=len(inc[verts[0]]) == 1 or len(inc[verts[-1]]) == 1,
-                )
+                Branch(tuple(verts), tuple(eids), v == w, len(out) == 1 or len(around) == 1)
             )
-    found.sort(key=lambda b: b.edge_ids)
     return found, used
 
 
 def branches(g: MultiGraph) -> tuple[Branch, ...]:
-    """All branches B(G), closed ones included; bare-cycle components yield none."""
+    """All branches B(G), closed ones included, by their edge ids; bare-cycle
+    components yield none."""
     found, _ = _branch_walk(g)
+    # Branches share no edge, so the first edge id alone orders them.
+    found.sort(key=itemgetter(1))
     return tuple(found)
 
 
@@ -167,7 +165,7 @@ def cycle_component_edges(g: MultiGraph) -> tuple[tuple[int, ...], ...]:
         cyc = []
         cur_e, cur_v = eid, v0
         while True:
-            used[cur_e] = True
+            used[cur_e] = 1
             cyc.append(cur_e)
             cur_v = ends[cur_e] ^ cur_v
             if cur_v == v0:
@@ -226,8 +224,13 @@ def _walk_trails(
         starts: Iterable[int] = range(g.vertex_count)
         blocked = g.bridge_tree.bridge_mask
     else:
-        odd = [v for v in range(g.vertex_count) if len(inc[v]) % 2]
-        starts = sorted(odd, key=lambda v: len(inc[v]) != 1) or [0]
+        leaves, odd = [], []
+        for v, ids in enumerate(inc):
+            if len(ids) == 1:
+                leaves.append(v)
+            elif len(ids) % 2:
+                odd.append(v)
+        starts = leaves + odd or [0]
         blocked = 0
     for start in starts:
         if closed:
@@ -340,9 +343,11 @@ def max_trail(
     inc, ends = g.incidence, g.ends
     v3_mask = g.v3_mask
     inc_mask = [0] * n
-    for eid, (x, y) in enumerate(g.edges):
-        inc_mask[x] |= 1 << eid
-        inc_mask[y] |= 1 << eid
+    bit = 1
+    for x, y in g.edges:
+        inc_mask[x] |= bit
+        inc_mask[y] |= bit
+        bit <<= 1
     # A trail's key is count * scale + cov, which orders (count, cov) pairs.
     scale = n + 1
 
@@ -485,10 +490,9 @@ def find_dominating_trail(
     if not is_connected(g):
         raise DisconnectedGraphError("dominating-trail search requires a connected graph")
     n, m = g.vertex_count, g.edge_count
-    inc = g.incidence
-    for v in range(n):
-        if len(inc[v]) == m:
-            return trivial_trail(v)
+    degrees = list(map(len, g.incidence))
+    if m in degrees:
+        return trivial_trail(degrees.index(m))
 
     nbr_mask = g.neighbor_masks
     everyone = (1 << n) - 1

@@ -8,10 +8,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from itline.budget import Unknown
+from itline.budget import Budget, Unknown
 from itline.eup import VARIANT_EUP, find_witness
 from itline.families import complete, fig2, path, star
 from itline.graphcore import InputError, MultiGraph, graph_from_mask, to_graph6
+from itline.hamilton import has_hamiltonian_cycle, has_hamiltonian_path
 from itline.harness import (
     CampaignReport,
     canonical_key,
@@ -28,6 +29,7 @@ from itline.harness import (
     verify_theorem_main,
 )
 from itline.linegraph import line_graph
+from itline.structure import find_dominating_trail, max_trail
 
 from .conftest import relabeled_copy, simple_graphs
 from .oracles import is_isomorphic
@@ -224,6 +226,15 @@ def test_induction_degeneracy_single_edge_is_skipped():
     assert report.records[0].get("skipped")
 
 
+def test_equivalence_record_of_an_edgeless_graph_is_skipped():
+    # K1 has no line graph; like the induction campaign's graphs under two
+    # edges, it is recorded as skipped, with no agreement either way.
+    report = run_equivalence_campaign([MultiGraph(1, ())])
+    assert report.ok and report.unknowns == 0
+    (rec,) = report.records
+    assert rec["skipped"] and rec["agree"] is None
+
+
 def test_bounds_campaign_small(corpus5):
     report = run_bounds_campaign(corpus5)
     assert report.ok and report.unknowns == 0
@@ -318,19 +329,12 @@ def test_records_with_two_unknowns_report_the_first(corpus5):
         assert ops <= first[report.name]
 
 
-# sha256 of the concatenated JSON lines of main (n=2), induction (k=2),
-# equivalence and bounds on the <= 5-vertex corpus, first at the default
-# budget and then at node_budget=3, as the campaigns wrote them when each
-# built its records by hand, except that the 20 bounds records whose index
-# runs out at level 0 or 1 now name that stage and level in their detail, and
-# that at node_budget=3 max_trail on K1,3 and K1,4 now finds mt* = 3, since
-# it reads the bridge tree before its walk instead of at its first dead end.
-REPORT_DIGEST = "0893feea8e5482adce1fa00ca05cebb4136ec013a94a372f9f97c26e6eb0b7de"
-
-
-def test_reports_match_pinned_digest(corpus5):
+@pytest.fixture(scope="module")
+def corpus5_reports(corpus5):
+    """main (n=2), induction (k=2), equivalence and bounds on the <= 5-vertex
+    corpus, first at the default budget and then at node_budget=3."""
     big = [g for g in corpus5 if g.edge_count >= 3]
-    reports = [
+    return [
         report
         for budget in (None, 3)
         for report in (
@@ -340,11 +344,75 @@ def test_reports_match_pinned_digest(corpus5):
             run_bounds_campaign(corpus5, node_budget=budget),
         )
     ]
-    assert [(r.agreements, r.unknowns) for r in reports] == [
+
+
+# sha256 of the concatenated JSON lines of the default-budget half of
+# corpus5_reports, which has no Unknown: every value, method and witness
+# flag, and nothing a starved budget decides.  An exact speed-up leaves it
+# alone even where it moves REPORT_DIGEST below.
+VALUES_DIGEST = "47a16a3dd82b17d4f802e8c0055192e3d41a2a438e06a233792e507c22a3392a"
+
+
+def test_values_match_pinned_digest(corpus5_reports):
+    values = corpus5_reports[:4]
+    assert [(r.agreements, r.unknowns) for r in values] == [(28, 0), (29, 0), (28, 0), (31, 0)]
+    blob = "".join(r.json_lines() for r in values).encode()
+    assert hashlib.sha256(blob).hexdigest() == VALUES_DIGEST
+
+
+# sha256 of the concatenated JSON lines of all of corpus5_reports, as the
+# campaigns wrote them when each built its records by hand, except that the
+# 20 bounds records whose index runs out at level 0 or 1 now name that stage
+# and level in their detail, and that at node_budget=3 max_trail on K1,3 and
+# K1,4 now finds mt* = 3, since it reads the bridge tree before its walk
+# instead of at its first dead end.  The node_budget=3 half also pins where
+# each starved search stops and the text of its Unknown.
+REPORT_DIGEST = "0893feea8e5482adce1fa00ca05cebb4136ec013a94a372f9f97c26e6eb0b7de"
+
+
+def test_reports_match_pinned_digest(corpus5_reports):
+    assert [(r.agreements, r.unknowns) for r in corpus5_reports] == [
         (28, 0), (29, 0), (28, 0), (31, 0), (0, 28), (0, 29), (2, 26), (10, 21),
     ]
-    blob = "".join(r.json_lines() for r in reports).encode()
+    blob = "".join(r.json_lines() for r in corpus5_reports).encode()
     assert hashlib.sha256(blob).hexdigest() == REPORT_DIGEST
+
+
+def test_record_searches_expand_pinned_node_totals(monkeypatch, corpus6):
+    # The searches a campaign record runs, summed over the <= 6-vertex
+    # corpus: each total changes if any one search tree does.  Figures and
+    # families have their own node pins; these are the small trees the
+    # records are made of.
+    spent = [0]
+    tick = Budget.tick
+
+    def counted(budget, n=1):
+        spent[0] += n
+        return tick(budget, n)
+
+    monkeypatch.setattr(Budget, "tick", counted)
+    big = [g for g in corpus6 if g.edge_count >= 3]
+    searches = {
+        "find_witness": (big, lambda g: find_witness(g, 2, VARIANT_EUP)),
+        "trail_open": (big, lambda g: find_dominating_trail(g, False)),
+        "trail_closed": (big, lambda g: find_dominating_trail(g, True)),
+        "trail_open_line_graph": (big, lambda g: find_dominating_trail(line_graph(g).graph)),
+        "max_trail": (corpus6, max_trail),
+        "oracle_path_line_graph": (big, lambda g: has_hamiltonian_path(line_graph(g).graph)),
+        "oracle_cycle_line_graph": (big, lambda g: has_hamiltonian_cycle(line_graph(g).graph)),
+    }
+    totals = {}
+    for name, (graphs, search) in searches.items():
+        spent[0] = 0
+        for g in graphs:
+            assert not isinstance(search(g), Unknown)
+        totals[name] = spent[0]
+    assert (len(corpus6), len(big)) == (143, 140)
+    assert totals == {
+        "find_witness": 1253, "trail_open": 662, "trail_closed": 1420,
+        "trail_open_line_graph": 1402, "max_trail": 916,
+        "oracle_path_line_graph": 969, "oracle_cycle_line_graph": 933,
+    }
 
 
 def test_budget_env_override(monkeypatch):
