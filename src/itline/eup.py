@@ -131,7 +131,7 @@ def _proximity_ok(g: MultiGraph, comps: list[int], k: int) -> tuple[bool, str]:
     rest, todo = comps[1:], comps[0]
     while todo and rest:
         hit = _flood(nbr, todo, radius=threshold)
-        todo = sum(c for c in rest if c & hit)  # the components are disjoint
+        todo = sum([c for c in rest if c & hit])  # the components are disjoint
         rest = [c for c in rest if not c & hit]
     if not rest:
         return True, ""
@@ -165,11 +165,12 @@ def check_conditions(g: MultiGraph, h: SubgraphH, k: int, variant: str) -> Condi
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
     h = subgraph(g, h.edge_ids, h.extra_vertices)  # revalidates against g
-    return _conditions(g, h, k, variant, branches(g))
+    return ConditionReport(variant, k, *_verdicts(g, h, k, variant, branches(g)))
 
 
-def _conditions(g: MultiGraph, h: SubgraphH, k: int, variant: str, blist) -> ConditionReport:
-    """:func:`check_conditions` of a subgraph valid in ``g``, given G's branches."""
+def _verdicts(g: MultiGraph, h: SubgraphH, k: int, variant: str, blist) -> tuple[Verdict, ...]:
+    """The verdicts of :func:`check_conditions`, in :class:`ConditionReport`'s
+    order, of a subgraph valid in ``g``, given G's branches."""
     verts, odd_mask, comps = _subgraph_masks(g, h)
     parity = _PASS
     if variant == VARIANT_EU and odd_mask:
@@ -212,7 +213,7 @@ def _conditions(g: MultiGraph, h: SubgraphH, k: int, variant: str, blist) -> Con
                 False,
                 f"pendant branch {list(b.vertices)} has {length} edges{qualifier} (limit {k})",
             )
-    return ConditionReport(variant, k, parity, coverage, proximity, avoided, pendant)
+    return parity, coverage, proximity, avoided, pendant
 
 
 def canonical_candidate(g: MultiGraph, edge_ids) -> SubgraphH:
@@ -290,24 +291,29 @@ def find_witness(
     # nearest its degree-1 end then leaves an odd vertex of H inside it, so
     # more such branches than the parity budget (0 for EU, 2 for EUP) leave
     # no witness, decided up front for the whole graph.
-    odd_budget = 0 if variant == VARIANT_EU else 2
-    if sum(touches and len(eids) > k for _, eids, _, touches in blist) > odd_budget:
-        return None
-
+    #
     # Branches that fail when avoided are decided first, then longer ones,
     # ties by edge ids, in the one sort of the walk's branches.  A pendant
-    # one fails past k edges (for EU none is left, see above).
-    keyed = sorted(
-        (len(eids) <= (k if touches else k + 1), -len(eids), eids) for _, eids, _, touches in blist
-    )
+    # one fails past k edges (under EU the certificate leaves none).
+    odd_budget = 0 if variant == VARIANT_EU else 2
+    keyed = []
+    pendant_odd = 0
+    for _, eids, _, touches in blist:
+        size = len(eids)
+        if touches and size > k:
+            pendant_odd += 1
+        keyed.append((size <= (k if touches else k + 1), -size, eids))
+    if pendant_odd > odd_budget:
+        return None
+    keyed.sort()
     bbad = [not fine for fine, _, _ in keyed]
-    bsize = [len(eids) for _, _, eids in keyed]
+    bsize = [-neg for _, neg, _ in keyed]
     order: list[int] = []
     ebranch = [-1] * m
     for bi, (_, _, eids) in enumerate(keyed):
         for eid in eids:
             ebranch[eid] = bi
-        order.extend(eids)
+        order += eids
     if not blist:
         # Only a bare cycle has edges on no branch (G is connected).
         order.extend(e for cyc in cycle_component_edges(g) for e in cyc)
@@ -320,7 +326,7 @@ def find_witness(
     undecided = list(map(len, g.incidence))
     v3_mask = g.v3_mask
     # A list: mask shifts in the exclude step made fig4b(1) ~1.7x slower.
-    high = [v3_mask >> v & 1 for v in range(n)]
+    high = [d > 2 for d in undecided]
     parity = [0] * n
     inS = bytearray(m)
     out = bytearray(m)
@@ -460,7 +466,7 @@ def find_witness(
                 need_at[i], alive_at[i], reach_at[i] = need, alive, reach
             elif need:
                 candidate = _candidate(g, frozenset(compress(range(m), inS)))
-                if not _conditions(g, candidate, k, variant, blist).overall:
+                if not all([v.ok for v in _verdicts(g, candidate, k, variant, blist)]):
                     raise GraphError(
                         "internal: search produced a candidate its own recheck rejects"
                     )

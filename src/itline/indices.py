@@ -213,7 +213,7 @@ def d3_doublestar(g: MultiGraph) -> int:
     """Most degree->=3 vertices outside N(v), over vertices v with |N(v)| maximal."""
     dp = delta_prime(g)
     return max(
-        ((g.v3_mask & ~m).bit_count() for m in g.neighbor_masks if m.bit_count() == dp), default=0
+        [(g.v3_mask & ~m).bit_count() for m in g.neighbor_masks if m.bit_count() == dp], default=0
     )
 
 

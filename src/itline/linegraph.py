@@ -52,6 +52,10 @@ def line_graph(g: MultiGraph) -> LineGraphResult:
         # Two parallel edges meet at both their ends: each end lists the pair.
         pairs = set(pairs)
     lg = _unchecked(MultiGraph, m, tuple(sorted(pairs)))
+    if g.connected:
+        # Any two edges of a connected graph lie on a walk, so L(G) is
+        # connected too: its searches skip their own flood.
+        lg.__dict__["connected"] = True
     return LineGraphResult(lg)
 
 
