@@ -18,13 +18,11 @@ from .graphcore import (
     ParseError,
     SubgraphH,
     Trail,
-    connected_components,
     diameter,
     is_connected,
     parse_edgelist,
     parse_graph6,
     subgraph,
-    subgraph_distance,
     to_edgelist,
     to_graph6,
 )
@@ -41,7 +39,6 @@ from .indices import (
     BoundsReport,
     IndexResult,
     PathHasNoIndexError,
-    bound_cor1,
     bound_cor2,
     bound_thm_b1,
     bound_thm_b2,
@@ -56,21 +53,16 @@ from .linegraph import (
     CapExceededError,
     EdgelessGraphError,
     LineGraphResult,
-    is_claw_free,
     iterated_line_graph,
     line_graph,
 )
 from .structure import (
     Branch,
-    DegreeClasses,
     MaxTrailResult,
     branches,
-    branches_b1,
-    degree_classes,
     dominates,
     find_dominating_trail,
     max_trail,
-    pendent_cycles,
 )
 
 __version__ = "0.1.0"

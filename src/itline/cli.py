@@ -209,6 +209,8 @@ def _emit_report(report: CampaignReport, args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.workers < 1:
+        raise InputError(f"--workers must be >= 1, got {args.workers}")
     common = dict(node_budget=args.budget, time_limit=args.timeout, workers=args.workers)
     if args.theorem == "main":
         corpus = _load_corpus(args, floor=3)

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations, product, starmap
 from operator import xor
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class GraphError(Exception):
@@ -177,11 +177,6 @@ class MultiGraph:
         self.check_vertex(v)
         return len(self.incidence[v])
 
-    def distinct_neighbors(self, v: int) -> frozenset[int]:
-        """Neighbor set of ``v`` without multiplicity (parallel edges collapse)."""
-        self.check_vertex(v)
-        return frozenset(mask_members(self.neighbor_masks[v]))
-
 
 def _unchecked(cls, *values):
     """A frozen dataclass ``cls`` built from known-valid field values, skipping its checks."""
@@ -201,46 +196,25 @@ def mask_members(mask: int) -> list[int]:
     return out
 
 
-def _rings(nbr: Sequence[int], seed: int) -> Iterator[int]:
-    """The vertices at distance 0, 1, 2, ... from the vertex set ``seed``, as masks."""
-    reach = ring = seed
+def bfs_distances(g: MultiGraph, source: int) -> list[float]:
+    """Shortest-path distance from ``source`` to every vertex (inf if unreachable),
+    one ring of the neighbour masks at a time."""
+    g.check_vertex(source)
+    nbr = g.neighbor_masks
+    dist: list[float] = [math.inf] * g.vertex_count
+    reach = ring = 1 << source
+    d = 0
     while ring:
-        yield ring
         grown = 0
         while ring:
             x = ring.bit_length() - 1
             ring ^= 1 << x
+            dist[x] = d
             grown |= nbr[x]
         ring = grown & ~reach
         reach |= ring
-
-
-def bfs_distances(g: MultiGraph, source: int) -> list[float]:
-    """Shortest-path distance from ``source`` to every vertex (inf if unreachable)."""
-    g.check_vertex(source)
-    dist: list[float] = [math.inf] * g.vertex_count
-    for d, ring in enumerate(_rings(g.neighbor_masks, 1 << source)):
-        for x in mask_members(ring):
-            dist[x] = d
+        d += 1
     return dist
-
-
-def subgraph_distance(g: MultiGraph, a: Iterable[int], b: Iterable[int]) -> float:
-    """Minimum shortest-path distance between two nonempty vertex sets.
-
-    Returns 0 when the sets overlap and ``math.inf`` when no path joins them.
-    """
-    aset = frozenset(a)
-    bset = frozenset(b)
-    if not aset or not bset:
-        raise InputError("subgraph_distance requires nonempty vertex sets")
-    for v in aset | bset:
-        g.check_vertex(v)
-    bmask = sum(1 << v for v in bset)
-    for d, ring in enumerate(_rings(g.neighbor_masks, sum(1 << v for v in aset))):
-        if ring & bmask:
-            return d
-    return math.inf
 
 
 def _flood(nbr: Sequence[int], seed: int, within: int = -1, radius: int | None = None) -> int:
@@ -252,9 +226,9 @@ def _flood(nbr: Sequence[int], seed: int, within: int = -1, radius: int | None =
     reached.  Rings are grown one vertex at a time, and the flood stops as
     soon as it holds all of ``within``.  It is the package's closure loop
     over vertex masks; ``nbr`` may be any per-vertex mask lookup.  Two ring
-    loops stay beside it, since it returns only the reached set: :func:`_rings`
-    yields every ring, for distances, and :func:`diameter` counts rings and
-    stops as soon as one vertex's rings reach every vertex.
+    loops stay beside it, since it returns only the reached set:
+    :func:`bfs_distances` numbers every ring, and :func:`diameter` counts
+    rings and stops as soon as one vertex's rings reach every vertex.
     """
     reach = ring = seed
     rings = -1 if radius is None else radius
@@ -284,12 +258,6 @@ def _split(nbr: Sequence[int], rest: int) -> list[int]:
         comps.append(comp)
         rest ^= comp
     return comps
-
-
-def connected_components(g: MultiGraph) -> tuple[frozenset[int], ...]:
-    """Vertex sets of the connected components, ordered by smallest member."""
-    comps = _split(g.neighbor_masks, (1 << g.vertex_count) - 1)
-    return tuple(frozenset(mask_members(c)) for c in comps)
 
 
 def is_connected(g: MultiGraph) -> bool:
@@ -425,10 +393,10 @@ def diameter(g: MultiGraph) -> int:
     Each vertex's eccentricity is the number of neighbour-mask rings grown
     from it until every vertex is reached.  :func:`_flood` returns only the
     reached set, not how many rings it took, so the rings are grown here,
-    and the loop stops once every vertex is reached.  Through the
-    :func:`_rings` generator, which must compare each ring against the whole
-    vertex set from outside, a pass over the <= 6-vertex corpus measured
-    1.3-2.3x slower, and every bounds record computes a diameter.
+    and the loop stops once every vertex is reached.  Through a ring
+    generator, which must compare each ring against the whole vertex set
+    from outside, a pass over the <= 6-vertex corpus measured 1.3-2.3x
+    slower, and every bounds record computes a diameter.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("diameter is undefined for disconnected graphs")

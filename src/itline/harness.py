@@ -163,6 +163,11 @@ def enumerate_trees(n: int) -> list[MultiGraph]:
 
 def corpus_graphs(max_vertices: int) -> list[MultiGraph]:
     """Connected simple graphs with 1..max_vertices vertices, one per class."""
+    if max_vertices > ENUMERATION_VERTEX_LIMIT:
+        raise InputError(
+            f"labeled enumeration supports up to {ENUMERATION_VERTEX_LIMIT} vertices, "
+            f"got {max_vertices}"
+        )
     out = []
     for n in range(1, max_vertices + 1):
         out.extend(enumerate_connected_graphs(n))
@@ -285,7 +290,15 @@ def _campaign(name: str, params: dict, record: Callable[..., dict],
 def _traceable_truth(
     g: MultiGraph, n: int, node_budget: int | None, time_limit: float | None
 ) -> tuple[bool | None, str, Unknown | None, MultiGraph | None]:
-    """``iterated_traceable_truth``, and the level n-1 it searched a trail on, if any."""
+    """Ground truth for "the n-th iterated line graph is traceable".
+
+    Route: build level n-1 with ``iterated_line_graph`` at its default cap
+    and search it for a dominating trail (one final line-graph step is
+    equivalent to that).  Tiny intermediate graphs fall back to the direct
+    oracle on level n; an edgeless level before n is ``degenerate-tiny``,
+    and a level over the cap gives an Unknown.  Returns (value, route,
+    unknown, the level n-1 it searched a trail on, if any).
+    """
     try:
         base = g if n == 1 else iterated_line_graph(g, n - 1)
     except EdgelessGraphError:
@@ -309,26 +322,6 @@ def _traceable_truth(
     if isinstance(trail, Unknown):
         return None, "dominating-trail", trail, base
     return trail is not None, "dominating-trail", None, base
-
-
-def iterated_traceable_truth(
-    g: MultiGraph,
-    n: int,
-    *,
-    node_budget: int | None = None,
-    time_limit: float | None = None,
-) -> tuple[bool | None, str, Unknown | None]:
-    """Ground truth for "the n-th iterated line graph is traceable".
-
-    Route: build level n-1 with ``iterated_line_graph`` at its default cap
-    and search it for a dominating trail (one final line-graph step is
-    equivalent to that).  Tiny intermediate graphs fall back to the direct
-    oracle on level n; an edgeless level before n is ``degenerate-tiny``,
-    and a level over the cap gives an Unknown.  Returns (value, route, unknown).
-    """
-    if n < 1:
-        raise InputError(f"need n >= 1, got {n}")
-    return _traceable_truth(g, n, node_budget, time_limit)[:3]
 
 
 def _main_record(
@@ -369,6 +362,8 @@ def verify_theorem_main(
     The equivalence holds for connected graphs with at least three edges and
     n >= 2; running with n = 1 demonstrates where it breaks down.
     """
+    if n < 1:
+        raise InputError(f"need n >= 1, got {n}")
     default = default_node_budget()
     record = partial(_main_record, n=n, cross_budget=default)
     return _campaign("main", {"n": n}, record, corpus, workers,

@@ -189,16 +189,6 @@ def bound_thm_b1(
     return g.vertex_count - mt.mt_star - mt.d3_star + 2
 
 
-def bound_cor1(
-    g: MultiGraph, *, node_budget: int | None = None, time_limit: float | None = None
-) -> int | Unknown:
-    """max(1, n - mt*)."""
-    mt = max_trail(g, node_budget=node_budget, time_limit=time_limit)
-    if isinstance(mt, Unknown):
-        return mt
-    return max(1, g.vertex_count - mt.mt_star)
-
-
 def bound_cor2(g: MultiGraph) -> int:
     """max(1, n - diam - 1)."""
     return max(1, g.vertex_count - diameter(g) - 1)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import combinations, count, islice
 from typing import Iterator
 
-from .graphcore import GraphError, InputError, MultiGraph, _unchecked, mask_members
+from .graphcore import GraphError, InputError, MultiGraph, _unchecked
 
 
 class EdgelessGraphError(GraphError):
@@ -89,17 +89,3 @@ def _levels(g: MultiGraph, cap: int = DEFAULT_CAP) -> Iterator[MultiGraph]:
         if cur.edge_count > cap:
             raise CapExceededError(level=level, size=cur.edge_count, cap=cap)
         cur = line_graph(cur).graph
-
-
-def is_claw_free(g: MultiGraph) -> bool:
-    """True iff no induced K_{1,3}: no vertex has three pairwise non-adjacent neighbors."""
-    nbr = g.neighbor_masks
-    for around in nbr:
-        for a in mask_members(around):
-            # rest: the neighbours after a that miss a; a claw is a b in rest
-            # with a later c in rest that misses b.
-            rest = around & ~nbr[a] & -(2 << a)
-            for b in mask_members(rest):
-                if rest & ~nbr[b] & -(2 << b):
-                    return False
-    return True

@@ -1,4 +1,4 @@
-"""Degree classes, branches, pendent cycles, and exact trail searches.
+"""Branches and exact trail searches.
 
 A branch is a maximal nontrivial path whose ends have degree != 2 and whose
 internal vertices all have degree 2.  A cycle attached to exactly one such
@@ -56,7 +56,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .budget import Budget, BudgetExhausted, Unknown
 from .graphcore import (
@@ -66,31 +66,8 @@ from .graphcore import (
     Trail,
     _unchecked,
     is_connected,
-    mask_members,
     trivial_trail,
 )
-
-
-@dataclass(frozen=True)
-class DegreeClasses:
-    """Partition of the vertex set by degree, with the derived high/low classes."""
-
-    by_degree: Mapping[int, frozenset[int]]
-    v_ge3: frozenset[int]
-    w: frozenset[int]
-
-    def of(self, i: int) -> frozenset[int]:
-        return self.by_degree.get(i, frozenset())
-
-
-def degree_classes(g: MultiGraph) -> DegreeClasses:
-    by_degree: dict[int, set[int]] = {}
-    for v in range(g.vertex_count):
-        by_degree.setdefault(g.degree(v), set()).add(v)
-    frozen = {d: frozenset(vs) for d, vs in by_degree.items()}
-    v_ge3 = frozenset(mask_members(g.v3_mask))
-    w = frozenset(v for v in range(g.vertex_count) if g.degree(v) != 2)
-    return DegreeClasses(frozen, v_ge3, w)
 
 
 class Branch(NamedTuple):
@@ -149,11 +126,6 @@ def branches(g: MultiGraph) -> tuple[Branch, ...]:
     return tuple(found)
 
 
-def branches_b1(g: MultiGraph) -> tuple[Branch, ...]:
-    """Branches that touch a degree-1 vertex."""
-    return tuple(b for b in branches(g) if b.touches_degree_one)
-
-
 def cycle_component_edges(g: MultiGraph) -> tuple[tuple[int, ...], ...]:
     """Edge ids of each bare-cycle component (every vertex degree 2), in cyclic order."""
     _, used = _branch_walk(g)
@@ -175,22 +147,6 @@ def cycle_component_edges(g: MultiGraph) -> tuple[tuple[int, ...], ...]:
             cur_e = e2 if e1 == cur_e else e1
         comps.append(tuple(cyc))
     return tuple(comps)
-
-
-def pendent_cycles(g: MultiGraph) -> tuple[Trail, ...]:
-    """Cycles meeting the degree->=3 vertex set in exactly one vertex.
-
-    These are exactly the closed branches: the other vertices of such a
-    cycle have degree 2, so the branch walk from its one degree->=3 vertex
-    goes round it and back.  A 2-cycle (two parallel edges) counts.  Each is
-    returned as a closed trail that starts at that attachment vertex and
-    leaves it by the smaller of its two edges there; the trails are sorted
-    by their sorted edge ids.
-    """
-    closed = sorted(
-        (b for b in branches(g) if b.is_closed), key=lambda b: sorted(b.edge_ids)
-    )
-    return tuple(Trail(b.vertices, b.edge_ids, True) for b in closed)
 
 
 _STOP, _PRUNE, _EXPAND = range(3)

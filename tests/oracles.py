@@ -1,12 +1,13 @@
 """Independent brute-force oracles and fixture graphs for the test suite.
 
 Everything here deliberately avoids the package's own algorithms: adjacency
-straight from the edge list, distances via Floyd-Warshall, proximity from an
-all-pairs distance table, traceability via permutations or a Held-Karp
-subset dynamic program, branches via filtered path enumeration, pendent
-cycles and witness nonemptiness via raw subset enumeration, bridge trees
-by edge deletion and pairwise tree paths.  These are the second route for
-every dual-checked result.
+and degrees straight from the edge list, distances via Floyd-Warshall,
+proximity from an all-pairs distance table, claws from neighbour triples,
+traceability via permutations or a Held-Karp subset dynamic program,
+branches via filtered path enumeration, pendent cycles and witness
+nonemptiness via raw subset enumeration, bridge trees by edge deletion and
+pairwise tree paths.  These are the second route for every dual-checked
+result.
 """
 
 from __future__ import annotations
@@ -30,6 +31,22 @@ def neighbor_sets(g: MultiGraph) -> list[set[int]]:
 def degrees_by_edge_scan(g: MultiGraph) -> list[int]:
     """Each vertex's degree, parallel edges counted, read off the edge list."""
     return [sum(x in e for e in g.edges) for x in range(g.vertex_count)]
+
+
+def vertices_of_degree(g: MultiGraph, keep) -> frozenset[int]:
+    """The vertices whose degree, parallel edges counted, passes ``keep``."""
+    return frozenset(v for v, d in enumerate(degrees_by_edge_scan(g)) if keep(d))
+
+
+def has_claw(g: MultiGraph) -> bool:
+    """True iff some vertex has three pairwise non-adjacent neighbours (an
+    induced K_{1,3}), from every neighbour triple."""
+    nbrs = neighbor_sets(g)
+    return any(
+        b not in nbrs[a] and c not in nbrs[a] and c not in nbrs[b]
+        for v in range(g.vertex_count)
+        for a, b, c in combinations(sorted(nbrs[v]), 3)
+    )
 
 
 def layered_reach(g: MultiGraph, seed: set[int], within: set[int], radius: int | None) -> set[int]:

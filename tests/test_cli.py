@@ -287,6 +287,22 @@ def test_nonpositive_budget_is_an_input_error(capsys, tmp_path, budget):
     _single_error_line(err)
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_is_an_input_error(capsys, workers):
+    code, out, err = run(capsys, "verify", "--theorem", "bounds", "--max-vertices", "3",
+                         "--workers", workers)
+    assert code == 2 and out == ""
+    _single_error_line(err)
+    assert f"--workers must be >= 1, got {workers}" in err
+
+
+def test_main_level_below_one_is_an_input_error(capsys):
+    code, out, err = run(capsys, "verify", "--theorem", "main", "--max-vertices", "4", "--n", "0")
+    assert code == 2 and out == ""
+    _single_error_line(err)
+    assert "need n >= 1, got 0" in err
+
+
 def test_malformed_budget_variable_is_an_input_error(capsys, monkeypatch, tmp_path):
     src = tmp_path / "star.g6"
     src.write_text(to_graph6(star(3)) + "\n")

@@ -25,11 +25,11 @@ from itline.graphcore import (
     MultiGraph,
     _flood,
     subgraph,
-    subgraph_distance,
 )
 
 from .conftest import connected_multigraphs, doubled_multigraphs, long_branch_graphs, spiders
 from .oracles import (
+    brute_subgraph_distance,
     brute_witness_exists,
     floyd_warshall,
     proximity_by_distances,
@@ -66,7 +66,7 @@ def test_fig1_bottom_path_with_apex_is_eup2_member():
     assert report.overall, report.to_dict()
     # The two components are the path and the apex, one step apart.
     assert len(subgraph_components_by_edges(g, h.edge_ids, h.extra_vertices)) == 2
-    assert subgraph_distance(g, {11}, set(range(11))) == 1
+    assert brute_subgraph_distance(g, {11}, set(range(11))) == 1
 
 
 def test_fig1_bottom_path_with_apex_fails_at_k1():

@@ -15,7 +15,13 @@ from itline.families import (
     two_cycle,
 )
 from itline.graphcore import InputError, is_connected
-from itline.structure import branches_b1, degree_classes
+from itline.structure import branches, cycle_component_edges
+
+from .oracles import brute_pendent_cycles, neighbor_sets, vertices_of_degree
+
+
+def _v_ge3(g):
+    return vertices_of_degree(g, lambda d: d >= 3)
 
 
 def test_fig1_shape():
@@ -24,7 +30,7 @@ def test_fig1_shape():
     # Ten path edges plus three apex edges.
     assert g.edge_count == 13
     assert is_connected(g)
-    assert degree_classes(g).v_ge3 == frozenset({2, 5, 8, 11})
+    assert _v_ge3(g) == frozenset({2, 5, 8, 11})
 
 
 @given(st.integers(min_value=1, max_value=5))
@@ -33,20 +39,18 @@ def test_fig2_shape(k):
     assert g.vertex_count == 6 + 3 * k
     assert g.edge_count == 6 + 3 * k
     assert is_connected(g)
-    assert degree_classes(g).of(3) == frozenset({0, 2, 4})
-    pendants = branches_b1(g)
+    assert vertices_of_degree(g, lambda d: d == 3) == frozenset({0, 2, 4})
+    pendants = [b for b in branches(g) if b.touches_degree_one]
     assert len(pendants) == 3
     assert all(b.length == k for b in pendants)
 
 
 def test_fig2_unique_cycle_is_hexagon():
-    from itline.structure import cycle_component_edges, pendent_cycles
-
     g = fig2(2)
     # No bare-cycle component (the hexagon has attachment vertices) and no
     # pendent cycle (it meets three degree-3 vertices).
     assert cycle_component_edges(g) == ()
-    assert pendent_cycles(g) == ()
+    assert brute_pendent_cycles(g) == []
 
 
 @given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=4))
@@ -56,8 +60,7 @@ def test_fig3_shape(s, extra):
     assert g.vertex_count == 2 * t + s + 5
     assert g.edge_count == 2 * t + s + 7
     assert is_connected(g)
-    dc = degree_classes(g)
-    assert len(dc.v_ge3) == 5
+    assert len(_v_ge3(g)) == 5
 
 
 def test_fig3_parameter_validation():
@@ -73,15 +76,14 @@ def test_fig4b_shape(s):
     assert g.vertex_count == 3 * s + 16
     assert g.edge_count == 3 * s + 24
     assert is_connected(g)
-    assert len(g.distinct_neighbors(0)) == 6
-    dc = degree_classes(g)
-    assert len(dc.v_ge3) == 13
-    assert not dc.v_ge3 & g.distinct_neighbors(0)
+    center_nbrs = neighbor_sets(g)[0]
+    assert len(center_nbrs) == 6
+    v_ge3 = _v_ge3(g)
+    assert len(v_ge3) == 13
+    assert not v_ge3 & center_nbrs
 
 
 def test_fig4b_three_long_arms():
-    from itline.structure import branches
-
     for s in (1, 2):
         arms = [b for b in branches(fig4b(s)) if b.length == s + 1]
         assert len(arms) == 3

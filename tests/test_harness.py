@@ -12,15 +12,17 @@ from itline.budget import Budget, Unknown
 from itline.eup import VARIANT_EUP, find_witness
 from itline.families import complete, fig2, path, star
 from itline.graphcore import InputError, MultiGraph, graph_from_mask, to_graph6
+from itline import harness
 from itline.hamilton import has_hamiltonian_cycle, has_hamiltonian_path
 from itline.harness import (
     CampaignReport,
+    _traceable_truth,
     canonical_key,
     corpus_by_edge_cap,
+    corpus_graphs,
     enumerate_connected_graphs,
     enumerate_trees,
     graph_id,
-    iterated_traceable_truth,
     run_bounds_campaign,
     run_equivalence_campaign,
     run_family_suite,
@@ -51,6 +53,21 @@ def test_enumeration_count_six(corpus6):
 def test_enumeration_rejects_large_n():
     with pytest.raises(InputError):
         list(enumerate_connected_graphs(8))
+
+
+def test_corpus_beyond_supported_range_fails_before_enumerating(monkeypatch):
+    # The vertex limit is checked up front, so an eight-vertex corpus does not
+    # first run the labeled loop over every size up to seven.
+    requested = []
+
+    def spy(n_vertices, **kwargs):
+        requested.append(n_vertices)
+        return iter(())
+
+    monkeypatch.setattr(harness, "enumerate_connected_graphs", spy)
+    with pytest.raises(InputError, match="got 8"):
+        corpus_graphs(8)
+    assert requested == []
 
 
 def test_enumeration_edge_cap():
@@ -170,25 +187,40 @@ def test_canonical_code_cache_keeps_graph_identity(corpus5):
 # --- campaigns ----------------------------------------------------------------
 
 
+def _truth(g, n):
+    """The main campaign's ground truth, (value, route, unknown), on default budgets."""
+    return _traceable_truth(g, n, None, None)[:3]
+
+
 def test_truth_route_small_line_graphs():
-    value, route, unknown = iterated_traceable_truth(path(4), 2)
+    value, route, unknown = _truth(path(4), 2)
     assert value is True and route == "direct-oracle" and unknown is None
-    value, route, unknown = iterated_traceable_truth(star(3), 2)
+    value, route, unknown = _truth(star(3), 2)
     assert value is True and route == "dominating-trail"
     # L(path(2)) is one vertex: level 1 has no edges, and level 2 does not exist.
     for n in (2, 3):
-        assert iterated_traceable_truth(path(2), n) == (True, "degenerate-tiny", None)
+        assert _truth(path(2), n) == (True, "degenerate-tiny", None)
 
 
 def test_truth_over_the_line_graph_cap_is_unknown():
     # L^3(K6) has 420 vertices and 5,460 edges, so L^4(K6) is over the cap of
     # 5,000; the answer is an Unknown, not a trail search on 5,460 vertices.
-    value, route, unknown = iterated_traceable_truth(complete(6), 5)
+    value, route, unknown = _truth(complete(6), 5)
     assert value is None and route == "dominating-trail"
     assert unknown == Unknown(
         "iterated_line_graph", 0,
         "line-graph iteration stopped at level 4: 5460 vertices exceeds cap 5000",
     )
+
+
+def test_main_campaign_rejects_a_level_below_one():
+    def unread():
+        raise AssertionError("the corpus was read")
+        yield
+
+    for n in (0, -1):
+        with pytest.raises(InputError, match=f"need n >= 1, got {n}"):
+            verify_theorem_main(unread(), n)
 
 
 def test_main_campaign_tiny_corpus(corpus5):

@@ -16,7 +16,6 @@ from itline.graphcore import GraphError, MultiGraph, SubgraphH, Trail, validate_
 from itline.indices import (
     IndexResult,
     PathHasNoIndexError,
-    bound_cor1,
     bound_cor2,
     bound_thm_b1,
     bound_thm_b2,
@@ -177,9 +176,9 @@ def test_bound_thm_b1_values():
 
 
 def test_bound_cor1_cor2_values():
-    assert bound_cor1(path(6)) == 1
+    assert compute_bounds(path(6)).cor1 == 1
     assert bound_cor2(path(6)) == 1
-    assert bound_cor1(fig3(1, 6)) == 5
+    assert compute_bounds(fig3(1, 6)).cor1 == 5
     # Diameter of the k=2 arm family is 2k+2 = 6.
     assert bound_cor2(fig2(2)) == max(1, 12 - 6 - 1) == 5
 

@@ -17,20 +17,18 @@ from itline.graphcore import (
     MultiGraph,
     Trail,
     diameter,
+    mask_members,
     validate_trail,
 )
 from itline.indices import compute_bounds, hamiltonian_index, hamiltonian_path_index
 from itline.structure import (
     MaxTrailResult,
     branches,
-    branches_b1,
     bridge_tree_rules_out_trail,
     cycle_component_edges,
-    degree_classes,
     dominates,
     find_dominating_trail,
     max_trail,
-    pendent_cycles,
 )
 
 from .conftest import (
@@ -53,27 +51,37 @@ from .oracles import (
 )
 
 
+def _of_degree(g, d):
+    return [v for v in range(g.vertex_count) if g.degree(v) == d]
+
+
+def _pendent_cycles(g):
+    """The closed branches: the cycles that meet the degree->=3 vertices once."""
+    return [b for b in branches(g) if b.is_closed]
+
+
 def test_degree_classes_fig1():
-    dc = degree_classes(fig1())
-    assert dc.of(3) == frozenset({2, 5, 8, 11})
-    assert dc.v_ge3 == frozenset({2, 5, 8, 11})
-    assert dc.of(1) == frozenset({0, 10})
+    g = fig1()
+    assert _of_degree(g, 3) == [2, 5, 8, 11]
+    assert mask_members(g.v3_mask) == [2, 5, 8, 11]
+    assert _of_degree(g, 1) == [0, 10]
 
 
 def test_degree_classes_cycle_has_no_w():
-    assert degree_classes(cycle(6)).w == frozenset()
+    # W, the vertices of degree != 2, is empty on a cycle.
+    assert _of_degree(cycle(6), 2) == list(range(6))
 
 
 def test_degree_classes_star():
-    dc = degree_classes(star(3))
-    assert dc.of(1) == frozenset({1, 2, 3})
-    assert dc.of(3) == frozenset({0})
+    g = star(3)
+    assert _of_degree(g, 1) == [1, 2, 3]
+    assert _of_degree(g, 3) == [0]
 
 
 def test_branches_fig1():
     bs = branches(fig1())
     assert len(bs) == 7
-    assert len(branches_b1(fig1())) == 2
+    assert sum(b.touches_degree_one for b in bs) == 2
     vertex_paths = {b.vertices for b in bs}
     for expected in ((0, 1, 2), (2, 3, 4, 5), (5, 6, 7, 8), (8, 9, 10)):
         assert expected in vertex_paths
@@ -124,27 +132,27 @@ def test_branch_partition_and_degree_invariants(g):
 
 
 def test_pendent_cycles_two():
-    assert len(pendent_cycles(two_pendant_cycles_graph())) == 2
+    assert len(_pendent_cycles(two_pendant_cycles_graph())) == 2
 
 
 def test_pendent_cycles_standalone_cycle_none():
-    assert pendent_cycles(cycle(5)) == ()
+    assert _pendent_cycles(cycle(5)) == []
 
 
 def test_pendent_cycles_fig2_none():
     # The hexagon meets three degree-3 vertices, so it is not pendent.
-    assert pendent_cycles(fig2(1)) == ()
+    assert _pendent_cycles(fig2(1)) == []
 
 
 @settings(deadline=None)
 @given(attached_cycle_graphs(max_edges=12))
 def test_pendent_cycles_match_subset_enumeration(g):
     # Dual route for reading pendent cycles off the closed branches.
-    found = pendent_cycles(g)
-    assert [tuple(sorted(t.edge_ids)) for t in found] == brute_pendent_cycles(g)
-    for t in found:
-        validate_trail(g, t)
-        assert t.closed and g.degree(t.vertices[0]) >= 3
+    found = _pendent_cycles(g)
+    assert sorted(tuple(sorted(b.edge_ids)) for b in found) == brute_pendent_cycles(g)
+    for b in found:
+        validate_trail(g, Trail(b.vertices, b.edge_ids, True))
+        assert g.degree(b.vertices[0]) >= 3
 
 
 # --- maximum trails ---------------------------------------------------------
