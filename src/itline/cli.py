@@ -9,6 +9,7 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import Iterator
 
 from .budget import Budget, Unknown
 from .eup import check_conditions, find_witness, witness_to_json
@@ -171,21 +172,21 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _load_corpus(args, floor: int = 0) -> list[MultiGraph]:
+def _load_corpus(args, floor: int = 0) -> Iterator[MultiGraph]:
     """The corpus of the first given of ``--in``, ``--max-edges``, ``--max-vertices``,
-    less its graphs of fewer than ``max(floor, --min-edges)`` edges."""
+    less its graphs of fewer than ``max(floor, --min-edges)`` edges.
+
+    A generator: nothing is read or enumerated before the first graph is
+    asked for, so a campaign checks its own arguments first."""
     if args.in_path:
-        graphs = []
-        for line in _read_text(args.in_path).splitlines():
-            line = line.strip()
-            if line:
-                graphs.append(parse_graph6(line))
+        lines = map(str.strip, _read_text(args.in_path).splitlines())
+        graphs = [parse_graph6(line) for line in lines if line]
     elif args.max_edges is not None:
         graphs = corpus_by_edge_cap(args.max_edges)
     else:
         graphs = corpus_graphs(6 if args.max_vertices is None else args.max_vertices)
     least = max(floor, args.min_edges)
-    return [g for g in graphs if g.edge_count >= least]
+    yield from (g for g in graphs if g.edge_count >= least)
 
 
 def _cmd_corpus(args) -> int:

@@ -9,9 +9,8 @@ immutable after construction; the operations are pure functions.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations, product, starmap
+from itertools import starmap
 from operator import xor
 from typing import Iterable, NamedTuple, Sequence
 
@@ -141,14 +140,9 @@ class MultiGraph:
 
     @_cached
     def canonical_code(self) -> tuple[int, int]:
-        """``(base, code)``, equal exactly for isomorphic graphs: see :func:`_canonical_code`.
-
-        ``base`` is one more than the largest edge multiplicity, so 2 for a
-        simple graph, whose code is then its canonical adjacency bitmask.
-        """
-        pairs = [(u, v) if u < v else (v, u) for u, v in self.edges]
-        base = 1 + max(Counter(pairs).values(), default=1)
-        return base, _canonical_code(self.vertex_count, pairs, base)
+        """``(base, code)``, equal exactly for isomorphic graphs (:func:`_canonical_code`);
+        base 2 means a simple graph, whose code is its canonical adjacency bitmask."""
+        return _canonical_code(self.vertex_count, self.edges)
 
     @_cached
     def bridge_tree(self) -> BridgeTree:
@@ -696,67 +690,99 @@ _REVERSED_6 = [int(f"{x:06b}"[::-1], 2) for x in range(64)]
 # Canonical forms
 
 
-def _refine_colors(n: int, nbrs: list[list[int]]) -> list:
+def _refine_colors(nbrs: list[list[int]]) -> list[int]:
     """Iterative neighborhood refinement; signatures are isomorphism-invariant.
 
-    ``nbrs[v]`` lists a neighbor once per edge, so parallel edges count.
-    Each round's signatures are replaced by their ranks among that round's
-    distinct signatures: ranks keep the order, and the next round's tuples
-    stay flat instead of nesting every earlier round.
+    ``nbrs[v]`` lists a neighbor once per edge, so parallel edges count.  The
+    first signature is the degree.  Each round's signatures are replaced by
+    their ranks among that round's distinct signatures: ranks keep the order,
+    and the next round's tuples stay flat instead of nesting every earlier
+    round.
     """
-    sig: list = [(len(nbrs[v]),) for v in range(n)]
+    sig = [len(nb) for nb in nbrs]
+    classes = len(set(sig))
     while True:
-        nxt = [(sig[v], tuple(sorted(sig[w] for w in nbrs[v]))) for v in range(n)]
+        nxt = [(s, tuple(sorted(map(sig.__getitem__, nb)))) for s, nb in zip(sig, nbrs)]
         distinct = sorted(set(nxt))
-        if len(distinct) == len(set(sig)):
+        if len(distinct) == classes:
             return sig
+        classes = len(distinct)
         rank = {s: r for r, s in enumerate(distinct)}
         sig = [rank[s] for s in nxt]
 
 
-def _canonical_code(n: int, pairs: list[tuple[int, int]], base: int) -> int:
-    """Least edge code over the vertex orderings that sort the refinement signatures.
+def _canonical_code(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """``(base, code)``: the least edge code over the orderings that sort the
+    refinement signatures.  Pair (i, j), i < j, of multiplicity m adds
+    m * base**(j(j-1)/2 + i); base is one more than the largest multiplicity,
+    so a simple graph's code is its adjacency bitmask.
 
-    An edge on the vertex pair with upper-triangle index i adds base**i to the
-    code, where base must exceed every pair's multiplicity, so for a simple
-    graph (base 2) the code is the adjacency bitmask.  Restricting to
-    signature-respecting orderings keeps the candidate set tiny without
-    losing exactness, because the minimum is still realized by an actual
-    relabeling of the graph.
+    Column p, the pairs (i, p), outweighs all below it, so positions fill from
+    the top, each from the top cell of an ordered partition that starts as the
+    signature classes.  Column p is least when every cell puts its vertices of
+    higher multiplicity to the chosen one lower, so cells split that way.  Only
+    choices of least column go on, ties on a stack, and of two twins (their
+    swap fixes every edge) only the first.  A discrete partition is a leaf.
     """
     nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in pairs:
+    mult: list[dict[int, int]] = [{} for _ in range(n)]
+    for u, v in edges:
         nbrs[u].append(v)
         nbrs[v].append(u)
-    sig = _refine_colors(n, nbrs)
-    groups: dict = {}
+        mult[u][v] = mult[v][u] = mult[u].get(v, 0) + 1
+    base = 1 + max((m for row in mult for m in row.values()), default=1)
+    sig = _refine_colors(nbrs)
+    power = [base**i for i in range(n + 1)]
+
+    def twins(u: int, w: int) -> bool:
+        a, b = mult[u], mult[w]
+        return len(a) == len(b) and all(x == w or b.get(x) == m for x, m in a.items())
+
+    groups: dict[int, list[int]] = {}
     for v in range(n):
         groups.setdefault(sig[v], []).append(v)
-    ordered_groups = [groups[s] for s in sorted(groups)]
-    offsets = []
-    pos = 0
-    for grp in ordered_groups:
-        offsets.append(pos)
-        pos += len(grp)
-    weight = [[0] * n for _ in range(n)]
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            weight[i][j] = weight[j][i] = base**idx
-            idx += 1
     best = None
-    perm = [0] * n
-    for arrangement in product(*(permutations(grp) for grp in ordered_groups)):
-        for grp_pos, grp in enumerate(arrangement):
-            off = offsets[grp_pos]
-            for i, v in enumerate(grp):
-                perm[v] = off + i
-        code = 0
-        for u, v in pairs:
-            code += weight[perm[u]][perm[v]]
-        if best is None or code < best:
-            best = code
-    return best if best is not None else 0
+    stack = [([groups[s] for s in sorted(groups)], 0, n - 1)]
+    while stack:
+        cells, code, p = stack.pop()
+        if len(cells) == p + 1:  # forced: read the leaf off the edges among 0..p
+            rank = {v: i for i, (v,) in enumerate(cells)}
+            code *= base ** (p * (p + 1) // 2)
+            for j, (v,) in enumerate(cells):
+                for x, m in mult[v].items():
+                    if rank.get(x, j) < j:
+                        code += m * base ** (j * (j - 1) // 2 + rank[x])
+            best = code if best is None else min(best, code)
+            continue
+        *below, top = cells
+        options = []
+        for v in top:
+            if options and any(twins(v, t) for t, _, _ in options):
+                continue
+            row = mult[v]
+            split, col, pos = [], 0, 0
+            for cell in below + [[x for x in top if x != v]] if len(top) > 1 else below:
+                m = row.get(cell[0], 0)
+                if len(cell) == 1 or not m and row.keys().isdisjoint(cell):
+                    split.append(cell)
+                    col += m * power[pos]
+                    pos += len(cell)
+                    continue
+                parts: dict[int, list[int]] = {}
+                for x in cell:
+                    parts.setdefault(row.get(x, 0), []).append(x)
+                for m in sorted(parts, reverse=True):
+                    split.append(parts[m])
+                    col += m * (power[pos + len(parts[m])] - power[pos]) // (base - 1)
+                    pos += len(parts[m])
+            options.append((v, col, split))
+        if len(options) == 1:  # the loop's last split and column are that option's
+            stack.append((split, code * power[p] + col, p - 1))
+            continue
+        least = min(col for _, col, _ in options)
+        stack.extend((split, code * power[p] + col, p - 1)
+                     for _, col, split in options if col == least)
+    return base, best
 
 
 def graph6_from_mask(n: int, mask: int) -> str:

@@ -64,10 +64,10 @@ CROSS_CHECK_MAX_VERTICES = 20
 
 def canonical_key(g: MultiGraph) -> tuple[int, int]:
     """Canonical (n, adjacency-bitmask) for a simple graph."""
-    pairs = [tuple(sorted(e)) for e in g.edges]
-    if len(set(pairs)) != len(pairs):
+    base, code = _canonical_code(g.vertex_count, g.edges)
+    if base != 2:
         raise InputError("canonical_key is defined for simple graphs only")
-    return (g.vertex_count, _canonical_code(g.vertex_count, pairs, 2))
+    return (g.vertex_count, code)
 
 
 def graph_id(g: MultiGraph) -> str:
@@ -163,6 +163,8 @@ def enumerate_trees(n: int) -> list[MultiGraph]:
 
 def corpus_graphs(max_vertices: int) -> list[MultiGraph]:
     """Connected simple graphs with 1..max_vertices vertices, one per class."""
+    if max_vertices < 1:
+        raise InputError(f"need max_vertices >= 1, got {max_vertices}")
     if max_vertices > ENUMERATION_VERTEX_LIMIT:
         raise InputError(
             f"labeled enumeration supports up to {ENUMERATION_VERTEX_LIMIT} vertices, "
@@ -180,6 +182,8 @@ def corpus_by_edge_cap(max_edges: int) -> list[MultiGraph]:
     A connected graph on n vertices needs n-1 edges, so vertex counts run up
     to max_edges + 1, and that last size holds only trees.
     """
+    if max_edges < 0:
+        raise InputError(f"need max_edges >= 0, got {max_edges}")
     if max_edges > ENUMERATION_VERTEX_LIMIT:
         # Beyond this the sizes past the labeled-enumeration limit would
         # include non-trees, which we cannot enumerate.
@@ -189,8 +193,7 @@ def corpus_by_edge_cap(max_edges: int) -> list[MultiGraph]:
     out = []
     for n in range(1, max_edges + 1):
         out.extend(enumerate_connected_graphs(n, max_edges=max_edges))
-    if max_edges >= 0:
-        out.extend(enumerate_trees(max_edges + 1))
+    out.extend(enumerate_trees(max_edges + 1))
     return out
 
 
@@ -398,6 +401,8 @@ def verify_theorem_induction(
     graphs degenerate to a point, where the coverage condition can never be
     met even though the 1-edge graph itself still has witnesses.
     """
+    if k < 1:
+        raise InputError(f"k must be >= 1, got {k}")
     return _campaign("induction", {"k": k}, partial(_induction_record, k=k), corpus,
                      workers, node_budget, time_limit)
 

@@ -6,14 +6,15 @@ proximity from an all-pairs distance table, claws from neighbour triples,
 traceability via permutations or a Held-Karp subset dynamic program,
 branches via filtered path enumeration, pendent cycles and witness
 nonemptiness via raw subset enumeration, bridge trees by edge deletion and
-pairwise tree paths.  These are the second route for every dual-checked
-result.
+pairwise tree paths, canonical codes as the least over every class-respecting
+vertex ordering.  These are the second route for every dual-checked result.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations, permutations
+from collections import Counter
+from itertools import chain, combinations, permutations, product
 
 from itline.eup import canonical_candidate, check_conditions
 from itline.graphcore import MultiGraph
@@ -418,6 +419,48 @@ def is_isomorphic(g1: MultiGraph, g2: MultiGraph) -> bool:
         if mapped == target:
             return True
     return False
+
+
+def refinement_classes(g: MultiGraph) -> list[list[int]]:
+    """The vertex classes of iterated neighbourhood refinement, in signature
+    order.  A vertex starts at (degree,), parallel edges counted; each round
+    pairs a vertex's signature with the sorted signatures of its neighbours,
+    one per edge, and ranks the distinct pairs, until the class count stops
+    growing."""
+    n = g.vertex_count
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    sig: list = [(len(nbrs[v]),) for v in range(n)]
+    while True:
+        nxt = [(sig[v], tuple(sorted(sig[w] for w in nbrs[v]))) for v in range(n)]
+        distinct = sorted(set(nxt))
+        if len(distinct) == len(set(sig)):
+            break
+        sig = [distinct.index(s) for s in nxt]
+    return [[v for v in range(n) if sig[v] == s] for s in sorted(set(sig))]
+
+
+def least_code_by_permutations(g: MultiGraph) -> tuple[int, int]:
+    """``(base, code)`` by the canonical code's definition: the least code over
+    every vertex ordering that puts each refinement class, in order, on the
+    next block of positions, tried as the product of the classes'
+    permutations.  Pair (i, j), i < j, of multiplicity m adds
+    m * base**(j(j-1)/2 + i), and base is one more than the largest
+    multiplicity."""
+    count = Counter(tuple(sorted(e)) for e in g.edges)
+    base = 1 + max(count.values(), default=1)
+    best = None
+    for arrangement in product(*(permutations(c) for c in refinement_classes(g))):
+        position = {v: i for i, v in enumerate(chain.from_iterable(arrangement))}
+        code = 0
+        for pair, m in count.items():
+            i, j = sorted(position[v] for v in pair)
+            code += m * base ** (j * (j - 1) // 2 + i)
+        if best is None or code < best:
+            best = code
+    return base, best
 
 
 def petersen() -> MultiGraph:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from itline import harness
 from itline.cli import main
 from itline.families import complete, fig1, fig2, fig3, star
 from itline.graphcore import parse_edgelist, parse_graph6, to_edgelist, to_graph6
@@ -301,6 +302,40 @@ def test_main_level_below_one_is_an_input_error(capsys):
     assert code == 2 and out == ""
     _single_error_line(err)
     assert "need n >= 1, got 0" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--theorem", "main", "--n", "0"), "need n >= 1, got 0"),
+    (("--theorem", "induction", "--k", "0"), "k must be >= 1, got 0"),
+])
+def test_level_below_one_fails_before_the_corpus_is_built(capsys, monkeypatch, argv, message):
+    # The campaign checks its level before the default corpus (≤ 6 vertices
+    # for main, ≤ 7 edges for induction) enumerates any size.
+    requested = []
+
+    def spy(n, **kwargs):
+        requested.append(n)
+        return iter(())
+
+    monkeypatch.setattr(harness, "enumerate_connected_graphs", spy)
+    monkeypatch.setattr(harness, "enumerate_trees", spy)
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    _single_error_line(err)
+    assert message in err
+    assert requested == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--theorem", "main", "--max-vertices", "0"), "need max_vertices >= 1, got 0"),
+    (("--theorem", "bounds", "--max-edges", "-1"), "need max_edges >= 0, got -1"),
+])
+def test_empty_corpus_is_an_input_error(capsys, argv, message):
+    # A campaign over no graph would print "ok": true.
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    _single_error_line(err)
+    assert message in err
 
 
 def test_malformed_budget_variable_is_an_input_error(capsys, monkeypatch, tmp_path):

@@ -14,6 +14,7 @@ from itline.graphcore import (
     MultiGraph,
     ParseError,
     Trail,
+    _canonical_code,
     _flood,
     _subgraph_masks,
     bfs_distances,
@@ -38,6 +39,7 @@ from .oracles import (
     degrees_by_edge_scan,
     floyd_warshall,
     layered_reach,
+    least_code_by_permutations,
     neighbor_sets,
     subgraph_components_by_edges,
     trail_along_order,
@@ -402,6 +404,28 @@ def test_graph6_from_mask_matches_to_graph6(n):
         assert encoded.startswith("~") == (n >= 63)
         assert parse_graph6(encoded) == g
         assert graph_from_mask(n, mask) == g
+
+
+def test_canonical_code_is_the_least_class_respecting_code():
+    # Dual route: the column-at-a-time search against the definition, the
+    # least code over the product of the refinement classes' permutations,
+    # on every labeled graph of at most five vertices, on seeded graphs of
+    # seven (past five, trying one vertex of each class is not always enough)
+    # and on multigraphs.
+    for n in range(6):
+        pairs = [(i, j) for j in range(1, n) for i in range(j)]
+        for mask in range(1 << len(pairs)):
+            g = MultiGraph(n, tuple(p for b, p in enumerate(pairs) if mask >> b & 1))
+            assert _canonical_code(n, g.edges) == least_code_by_permutations(g), g
+    rng = random.Random(27)
+    pairs = [(i, j) for j in range(1, 7) for i in range(j)]
+    for _ in range(300):
+        g = MultiGraph(7, tuple(p for p in pairs if rng.random() < 0.5))
+        assert _canonical_code(7, g.edges) == least_code_by_permutations(g), g
+    for _ in range(500):
+        n = rng.randint(2, 6)
+        g = MultiGraph(n, tuple(tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 12))))
+        assert _canonical_code(n, g.edges) == least_code_by_permutations(g), g
 
 
 def test_graph6_rejects_multigraph_on_encode():

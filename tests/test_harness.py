@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from itline.budget import Budget, Unknown
 from itline.eup import VARIANT_EUP, find_witness
-from itline.families import complete, fig2, path, star
+from itline.families import complete, fig1, fig2, fig3, fig4b, path, star
 from itline.graphcore import InputError, MultiGraph, graph_from_mask, to_graph6
 from itline import harness
 from itline.hamilton import has_hamiltonian_cycle, has_hamiltonian_path
@@ -79,7 +79,8 @@ def test_enumeration_edge_cap():
 
 def test_tree_counts():
     # OEIS A000055.
-    counts = ((1, 1), (2, 1), (3, 1), (4, 2), (5, 3), (6, 6), (7, 11), (8, 23), (9, 47))
+    counts = ((1, 1), (2, 1), (3, 1), (4, 2), (5, 3), (6, 6), (7, 11), (8, 23), (9, 47),
+              (10, 106), (11, 235), (12, 551))
     for n, expected in counts:
         assert len(enumerate_trees(n)) == expected
 
@@ -92,6 +93,27 @@ def test_trees_match_labeled_enumeration():
         labeled = {canonical_key(g) for g in enumerate_connected_graphs(n, max_edges=n - 1)}
         assert len(augmented) == len(set(augmented))
         assert set(augmented) == labeled
+
+
+def test_corpus_below_its_least_size_fails_before_enumerating(monkeypatch):
+    # An empty corpus would make every campaign over it pass.
+    requested = []
+
+    def spy(n, **kwargs):
+        requested.append(n)
+        return iter(())
+
+    monkeypatch.setattr(harness, "enumerate_connected_graphs", spy)
+    monkeypatch.setattr(harness, "enumerate_trees", spy)
+    for bad in (0, -1):
+        with pytest.raises(InputError, match=f"need max_vertices >= 1, got {bad}"):
+            corpus_graphs(bad)
+    with pytest.raises(InputError, match="need max_edges >= 0, got -1"):
+        corpus_by_edge_cap(-1)
+    assert requested == []
+    monkeypatch.undo()
+    # The least caps still hold the one-vertex graph.
+    assert corpus_graphs(1) == corpus_by_edge_cap(0) == [MultiGraph(1, ())]
 
 
 def test_corpus_by_edge_cap_contents(corpus_edges7):
@@ -170,6 +192,31 @@ def test_graph_id_of_long_asymmetric_tree():
     assert graph_id(tree) != graph_id(MultiGraph(41, path(40).edges + ((3, 40),)))
 
 
+@pytest.mark.parametrize("g", [
+    fig1(), fig2(3), fig3(3, 8), fig4b(1), fig4b(2), fig4b(3), fig4b(4), fig4b(5),
+    complete(12), path(300),
+], ids=["fig1", "fig2(3)", "fig3(3,8)", "fig4b(1)", "fig4b(2)", "fig4b(3)", "fig4b(4)",
+        "fig4b(5)", "K12", "path(300)"])
+def test_graph_id_past_the_corpus_is_relabeling_invariant(g):
+    # The paper's figures and graphs whose refinement classes have orderings
+    # by the million: the id answers and survives relabeling.
+    rng = random.Random(g.vertex_count)
+    want = graph_id(g)
+    for _ in range(3):
+        assert graph_id(relabeled_copy(g, rng)) == want
+
+
+def test_graph_id_on_every_tree_of_twelve_vertices():
+    # Trees with many twin leaves, 551 classes (A000055).
+    rng = random.Random(12)
+    trees = enumerate_trees(12)
+    ids = [graph_id(t) for t in trees]
+    assert len(set(ids)) == 551
+    for t, want in zip(trees, ids):
+        for _ in range(3):
+            assert graph_id(relabeled_copy(t, rng)) == want
+
+
 def test_canonical_code_cache_keeps_graph_identity(corpus5):
     multi = MultiGraph(4, ((0, 1), (1, 0), (1, 2), (2, 3), (3, 1)))
     for g in (*corpus5, multi):
@@ -223,6 +270,16 @@ def test_main_campaign_rejects_a_level_below_one():
             verify_theorem_main(unread(), n)
 
 
+def test_induction_campaign_rejects_a_level_below_one():
+    def unread():
+        raise AssertionError("the corpus was read")
+        yield
+
+    for k in (0, -1):
+        with pytest.raises(InputError, match=f"k must be >= 1, got {k}"):
+            verify_theorem_induction(unread(), k)
+
+
 def test_main_campaign_tiny_corpus(corpus5):
     corpus = [g for g in corpus5 if g.edge_count >= 3]
     report = verify_theorem_main(corpus, 2)
@@ -232,8 +289,6 @@ def test_main_campaign_tiny_corpus(corpus5):
 
 
 def test_main_campaign_level1_breaks_on_fig1():
-    from itline.families import fig1
-
     report = verify_theorem_main([fig1()], 1)
     assert report.mismatches == 1
     rec = report.records[0]
