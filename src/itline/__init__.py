@@ -60,7 +60,6 @@ from .structure import (
     Branch,
     MaxTrailResult,
     branches,
-    dominates,
     find_dominating_trail,
     max_trail,
 )

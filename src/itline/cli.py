@@ -17,6 +17,7 @@ from .graphcore import (
     GraphError,
     InputError,
     MultiGraph,
+    ParseError,
     parse_edgelist,
     parse_graph6,
     to_edgelist,
@@ -177,10 +178,21 @@ def _load_corpus(args, floor: int = 0) -> Iterator[MultiGraph]:
     less its graphs of fewer than ``max(floor, --min-edges)`` edges.
 
     A generator: nothing is read or enumerated before the first graph is
-    asked for, so a campaign checks its own arguments first."""
+    asked for, so a campaign checks its own arguments first.  A file is read
+    whole then, and a line that does not parse or holds a disconnected graph
+    fails, by its line number, before the first graph is given."""
     if args.in_path:
-        lines = map(str.strip, _read_text(args.in_path).splitlines())
-        graphs = [parse_graph6(line) for line in lines if line]
+        graphs = []
+        for number, line in enumerate(_read_text(args.in_path).splitlines(), 1):
+            if not line.strip():
+                continue
+            try:
+                g = parse_graph6(line)
+            except ParseError as exc:
+                raise ParseError(f"{args.in_path} line {number}: {exc}") from None
+            if not g.connected:
+                raise InputError(f"{args.in_path} line {number}: the graph is not connected")
+            graphs.append(g)
     elif args.max_edges is not None:
         graphs = corpus_by_edge_cap(args.max_edges)
     else:

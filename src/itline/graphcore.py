@@ -8,6 +8,7 @@ immutable after construction; the operations are pure functions.
 
 from __future__ import annotations
 
+import binascii
 import math
 from dataclasses import dataclass
 from itertools import starmap
@@ -661,29 +662,20 @@ def _graph6_header(n: int) -> list[int]:
 
 def to_graph6(g: MultiGraph) -> str:
     """Encode a simple graph as graph6; parallel edges are rejected."""
-    pairs = [tuple(sorted(e)) for e in g.edges]
-    if len(set(pairs)) != len(pairs):
-        raise InputError("graph6 encodes simple graphs only; parallel edges present")
-    n = g.vertex_count
-    head = _graph6_header(n)
-    adj = set(pairs)
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if (i, j) in adj else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = []
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k:k + 6]:
-            val = (val << 1) | b
-        body.append(val + 63)
-    return bytes(head + body).decode("ascii")
+    mask = 0
+    for u, v in g.edges:
+        bit = 1 << (v * (v - 1) // 2 + u if u < v else u * (u - 1) // 2 + v)
+        if mask & bit:
+            raise InputError("graph6 encodes simple graphs only; parallel edges present")
+        mask |= bit
+    return graph6_from_mask(g.vertex_count, mask)
 
 
-#: _REVERSED_6[x] is the 6-bit value x with its bits in reverse order.
-_REVERSED_6 = [int(f"{x:06b}"[::-1], 2) for x in range(64)]
+#: Byte x with its bits in reverse order, and base64's alphabet mapped onto
+#: graph6's 6-bit characters (value v is byte v + 63).
+_REVERSED_8 = bytes(int(f"{x:08b}"[::-1], 2) for x in range(256))
+_BASE64_TO_G6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127)))
 
 
 # ---------------------------------------------------------------------------
@@ -790,11 +782,15 @@ def graph6_from_mask(n: int, mask: int) -> str:
     is an edge iff bit j(j-1)/2 + i of ``mask`` is set.
 
     That bit order is graph6's own, so the body is the mask cut into 6-bit
-    groups from bit 0 up, each written most significant pair first.
+    groups from bit 0 up, each written most significant pair first.  With
+    each byte of the mask bit-reversed, that is base64 of its bytes, which
+    encodes three bytes as four 6-bit groups, the first as the top bits; so
+    the mask is read once, in linear time.
     """
-    nbits = n * (n - 1) // 2
-    body = [_REVERSED_6[mask >> k & 63] + 63 for k in range(0, nbits, 6)]
-    return bytes(_graph6_header(n) + body).decode("ascii")
+    groups = (n * (n - 1) // 2 + 5) // 6
+    raw = mask.to_bytes((groups + 3) // 4 * 3, "little").translate(_REVERSED_8)
+    body = binascii.b2a_base64(raw, newline=False)[:groups].translate(_BASE64_TO_G6)
+    return (bytes(_graph6_header(n)) + body).decode("ascii")
 
 
 def graph_from_mask(n: int, mask: int) -> MultiGraph:

@@ -6,9 +6,10 @@ end is kept as a *closed* branch (both endpoints equal, ``is_closed`` set);
 components that are bare cycles of degree-2 vertices contribute no branches.
 
 The trail searches (maximum trail, dominating trail) are exact backtracking
-with memoized pruning on one explicit-stack walk, so long inputs need no
-recursion; on budget exhaustion they report Unknown rather than None.  Three
-prunes keep the walk small, each exact by a one-line fact:
+on one explicit-stack walk, so long inputs need no recursion, with a memo of
+used-edge masks per start that stops growing at a fixed size; on budget
+exhaustion they report Unknown rather than None.  Three prunes keep the walk
+small, each exact by a one-line fact:
 
 * An open walk starts only at odd-degree vertices, the leaves (degree 1)
   first and then the others, each group in increasing id, or at vertex 0
@@ -151,6 +152,10 @@ def cycle_component_edges(g: MultiGraph) -> tuple[tuple[int, ...], ...]:
 
 _STOP, _PRUNE, _EXPAND = range(3)
 
+#: The most bits of used-edge masks that the memo of one start holds; past
+#: it, new states are searched again rather than kept.
+_MEMO_BITS = 1 << 29
+
 
 def _walk_trails(
     g: MultiGraph,
@@ -162,21 +167,25 @@ def _walk_trails(
 
     Trails start at each start vertex in turn and grow by one unused edge at
     a time, in incidence order.  Every step costs one ``budget.tick()``; a
-    step into a state (end vertex, used-edge mask) seen before goes no
-    further.  Otherwise ``visit(v, used, vmask, path_v, path_e)`` answers
+    step into a state seen before from the same start goes no further.  The
+    state is the used-edge mask alone: a trail's edge set has its two ends as
+    its odd-degree vertices (none when it is closed), so once the start is
+    fixed the edges fix the end, and no two starts share a state.  Each start
+    has its own memo, which stops taking states once it holds
+    ``_MEMO_BITS`` bits of masks; a state it did not keep is only searched
+    again.  Otherwise ``visit(v, used, vmask, path_v, path_e)`` answers
     _STOP, _PRUNE or _EXPAND for the trail ``path_v``/``path_e`` ending at
     ``v``.  An open walk starts at the odd-degree vertices only, leaves
     first, or at 0 when there are none (see the module docstring), and
     visits every trail.  A closed trail can start at its smallest vertex, so
-    a closed walk starts at every vertex, only steps to vertices >= start,
-    forgets its states at each new start and counts the bridges as used from
-    the outset; it visits only nonempty trails back at their start and
-    expands all others.
+    a closed walk starts at every vertex, only steps to vertices >= start
+    and counts the bridges as used from the outset; it visits only nonempty
+    trails back at their start and expands all others.
     Returns the trail ``visit`` stopped at, as (vertices, edge ids), or None.
     """
     inc, ends = g.incidence, g.ends
     tick = budget.tick
-    seen: set[tuple[int, int]] = set()
+    room = _MEMO_BITS // (g.edge_count + 1)
     if closed:
         starts: Iterable[int] = range(g.vertex_count)
         blocked = g.bridge_tree.bridge_mask
@@ -190,8 +199,7 @@ def _walk_trails(
         starts = leaves + odd or [0]
         blocked = 0
     for start in starts:
-        if closed:
-            seen = set()
+        seen: set[int] = set()
         path_v = [start]
         path_e: list[int] = []
         tick()
@@ -201,6 +209,9 @@ def _walk_trails(
                 return tuple(path_v), tuple(path_e)
             if action == _PRUNE:
                 continue
+        # A frame holds the vertex mask and the edge iterator of a trail on
+        # the path; on pop, its end is read off ``path_v`` and its used edges
+        # by clearing the bit of the edge popped off ``path_e``.
         stack = []
         v, used, vmask, steps = start, blocked, 1 << start, iter(inc[start])
         while True:
@@ -212,10 +223,10 @@ def _walk_trails(
                     continue
                 tick()
                 w_used = used | 1 << eid
-                state = (w, w_used)
-                if state in seen:
+                if w_used in seen:
                     continue
-                seen.add(state)
+                if len(seen) < room:
+                    seen.add(w_used)
                 w_mask = vmask | 1 << w
                 path_v.append(w)
                 path_e.append(eid)
@@ -226,7 +237,7 @@ def _walk_trails(
                 if action == _STOP:
                     return tuple(path_v), tuple(path_e)
                 if action == _EXPAND:
-                    stack.append((v, used, vmask, steps))
+                    stack.append((vmask, steps))
                     v, used, vmask, steps = w, w_used, w_mask, iter(inc[w])
                     break
                 path_v.pop()
@@ -234,9 +245,10 @@ def _walk_trails(
             else:
                 if not stack:
                     break
-                v, used, vmask, steps = stack.pop()
+                vmask, steps = stack.pop()
+                used ^= 1 << path_e.pop()
                 path_v.pop()
-                path_e.pop()
+                v = path_v[-1]
     return None
 
 
@@ -266,10 +278,10 @@ def max_trail(
     lowers either, so an optimal trail can be taken maximal, and trails
     start at odd-degree vertices only, leaves first (at 0 when G is
     Eulerian; see the module docstring); that order decides the witness
-    among equal optima.  States (current vertex, used edges) determine all
-    future extensions, so revisited states are skipped.  The search stops at the
-    first trail that reaches an upper bound on every trail, and two
-    optimistic bounds prune the rest:
+    among equal optima.  From a fixed start the used edges determine the end
+    and all future extensions, so revisited states are skipped.  The search
+    stops at the first trail that reaches an upper bound on every trail, and
+    two optimistic bounds prune the rest:
 
     * The reach bound: the trail's vertices and those reachable from its
       end over unused edges.  It is kept per depth: a step that uses the
@@ -417,12 +429,6 @@ def bridge_tree_rules_out_trail(g: MultiGraph, closed: bool) -> bool:
         return False
     met = Counter(piece_of[x] for ends in inner for x in ends)
     return max(met.values()) >= 3
-
-
-def dominates(g: MultiGraph, vertices: Iterable[int]) -> bool:
-    """True iff every edge of ``g`` has at least one endpoint in ``vertices``."""
-    vs = set(vertices)
-    return all(u in vs or v in vs for u, v in g.edges)
 
 
 def find_dominating_trail(

@@ -7,7 +7,8 @@ traceability via permutations or a Held-Karp subset dynamic program,
 branches via filtered path enumeration, pendent cycles and witness
 nonemptiness via raw subset enumeration, bridge trees by edge deletion and
 pairwise tree paths, canonical codes as the least over every class-respecting
-vertex ordering.  These are the second route for every dual-checked result.
+vertex ordering, graph6 by per-pair bit loops, domination by an edge scan.
+These are the second route for every dual-checked result.
 """
 
 from __future__ import annotations
@@ -461,6 +462,34 @@ def least_code_by_permutations(g: MultiGraph) -> tuple[int, int]:
         if best is None or code < best:
             best = code
     return base, best
+
+
+def dominates(g: MultiGraph, vertices) -> bool:
+    """True iff every edge of ``g`` has at least one endpoint in ``vertices``."""
+    vs = set(vertices)
+    return all(u in vs or v in vs for u, v in g.edges)
+
+
+def graph6_by_bit_loops(g: MultiGraph) -> str:
+    """graph6 of a simple graph, one bit per pair (i, j), column j by column
+    from j = 1, packed six bits a byte, first bit most significant, with the
+    one-byte size header below 63 vertices and the four-byte one above."""
+    n = g.vertex_count
+    head = [n + 63] if n <= 62 else [126] + [((n >> shift) & 63) + 63 for shift in (12, 6, 0)]
+    adj = {tuple(sorted(e)) for e in g.edges}
+    bits = []
+    for j in range(1, n):
+        for i in range(j):
+            bits.append(1 if (i, j) in adj else 0)
+    while len(bits) % 6:
+        bits.append(0)
+    body = []
+    for k in range(0, len(bits), 6):
+        val = 0
+        for b in bits[k:k + 6]:
+            val = (val << 1) | b
+        body.append(val + 63)
+    return bytes(head + body).decode("ascii")
 
 
 def petersen() -> MultiGraph:

@@ -279,6 +279,30 @@ def test_missing_input_file_is_an_input_error(capsys, tmp_path):
         assert "missing.g6" in err
 
 
+@pytest.mark.parametrize("theorem", ["main", "induction", "bounds", "equivalence"])
+@pytest.mark.parametrize("second, message", [
+    ("C?", "line 2: the graph is not connected"),  # four vertices, no edge
+    ("D-x", "line 2: invalid graph6 byte 45"),
+])
+def test_corpus_file_fails_at_its_bad_line_before_any_record(
+        capsys, monkeypatch, tmp_path, theorem, second, message):
+    # The whole file is read and checked before the campaign's first record.
+    ran = []
+    name = f"_{theorem}_record"
+    record = getattr(harness, name)
+    monkeypatch.setattr(harness, name, lambda g, **kw: ran.append(g) or record(g, **kw))
+    src = tmp_path / "corpus.g6"
+    src.write_text(f"D?{{\n{second}\n")
+    code, out, err = run(capsys, "verify", "--theorem", theorem, "--in", str(src))
+    assert code == 2 and out == ""
+    _single_error_line(err)
+    assert f"corpus.g6 {message}" in err
+    assert ran == []
+    src.write_text("D?{\n")
+    assert run(capsys, "verify", "--theorem", theorem, "--in", str(src))[0] == 0
+    assert len(ran) == 1
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_nonpositive_budget_is_an_input_error(capsys, tmp_path, budget):
     src = tmp_path / "star.g6"

@@ -2,13 +2,18 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import itline
 from itline import graphcore
 from itline.budget import Unknown
 from itline.families import complete, cycle, fig1, fig2, fig3, fig4b, path, star, two_cycle
@@ -26,7 +31,6 @@ from itline.structure import (
     branches,
     bridge_tree_rules_out_trail,
     cycle_component_edges,
-    dominates,
     find_dominating_trail,
     max_trail,
 )
@@ -47,6 +51,7 @@ from .oracles import (
     brute_has_dominating_trail,
     brute_max_trail_stats,
     brute_pendent_cycles,
+    dominates,
     two_pendant_cycles_graph,
 )
 
@@ -458,6 +463,30 @@ def test_long_inputs_get_an_answer():
         for closed in (False, True):
             found = find_dominating_trail(g, closed, node_budget=1000)
             assert found is None or isinstance(found, (Trail, Unknown))
+
+
+def test_trail_walk_memory_is_bounded_on_the_fifth_line_graph_of_k6_minus_e():
+    # The main campaign at n = 5 searches L^4(K6 - e), 4,020 vertices and
+    # 92,436 edges, for a dominating trail: 117,369 steps to a trail of 85,026
+    # edges.  A memo of (end, used) keys shared by every start, with a copy of
+    # the used-edge mask in each stack frame, peaked at ~1 GB there.  The
+    # child caps its own address space at 400 MB.
+    script = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+        from itline.families import complete
+        from itline.graphcore import MultiGraph
+        from itline.harness import verify_theorem_main
+        report = verify_theorem_main([MultiGraph(6, complete(6).edges[1:])], 5)
+        (record,) = report.records
+        assert report.ok and "unknown" not in record, record
+        assert record["truth_route"] == "dominating-trail", record
+    """)
+    src = os.path.dirname(os.path.dirname(itline.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-2000:]
 
 
 # --- dominating trails ------------------------------------------------------
