@@ -141,20 +141,24 @@ def _proximity_ok(g: MultiGraph, comps: list[int], k: int) -> tuple[bool, str]:
 
 class _LiveLinks:
     """At radius 0, ``links[x]`` is the far ends of the edges at ``x`` that
-    are not excluded (``out[eid]`` unset), as a bitmask."""
+    are not excluded, as a bitmask: edge ``steps[i][0]`` is excluded when
+    ``take[i]`` is 0 (see :func:`find_witness`)."""
 
-    __slots__ = ("inc", "ends", "out")
+    __slots__ = ("inc", "ends", "take", "depth")
 
-    def __init__(self, g: MultiGraph, out: bytearray):
+    def __init__(self, g: MultiGraph, take: list[int], steps: list[tuple]):
         self.inc = g.incidence
         self.ends = g.ends
-        self.out = out
+        self.take = take
+        self.depth = [0] * len(steps)
+        for i, step in enumerate(steps):
+            self.depth[step[0]] = i
 
     def __getitem__(self, x: int) -> int:
-        ends, out = self.ends, self.out
+        ends, take, depth = self.ends, self.take, self.depth
         mask = 0
         for eid in self.inc[x]:
-            if not out[eid]:
+            if take[depth[eid]]:
                 mask |= 1 << (ends[eid] ^ x)
         return mask
 
@@ -298,42 +302,44 @@ def find_witness(
     odd_budget = 0 if variant == VARIANT_EU else 2
     keyed = []
     pendant_odd = 0
-    for _, eids, _, touches in blist:
+    for verts, eids, _, touches in blist:
         size = len(eids)
         if touches and size > k:
             pendant_odd += 1
-        keyed.append((size <= (k if touches else k + 1), -size, eids))
+        keyed.append((size <= (k if touches else k + 1), -size, eids, verts))
     if pendant_odd > odd_budget:
         return None
     keyed.sort()
-    bbad = [not fine for fine, _, _ in keyed]
-    bsize = [-neg for _, neg, _ in keyed]
-    order: list[int] = []
-    ebranch = [-1] * m
-    for bi, (_, _, eids) in enumerate(keyed):
-        for eid in eids:
-            ebranch[eid] = bi
-        order += eids
+
+    # Depth i decides steps[i] = (edge, its ends u and v, the mask of its
+    # ends, last): a branch's edges are decided at consecutive depths, and
+    # last is the branch's size at the last edge of a branch that fails
+    # when avoided, else 0.  Only a bare cycle has edges on no branch (G is
+    # connected).
+    steps = [
+        (e, u, v, 1 << u | 1 << v, 0 if fine or e != eids[-1] else -neg)
+        for fine, neg, eids, verts in keyed
+        for e, u, v in zip(eids, verts, verts[1:])
+    ]
     if not blist:
-        # Only a bare cycle has edges on no branch (G is connected).
-        order.extend(e for cyc in cycle_component_edges(g) for e in cyc)
-    if len(order) != m:
+        for e in (e for cyc in cycle_component_edges(g) for e in cyc):
+            u, v = edges[e]
+            steps.append((e, u, v, 1 << u | 1 << v, 0))
+    if len(steps) != m:
         raise GraphError("internal: branch partition missed edges")
 
     radius = k - 1
     ball = _ball_masks(g, radius)
-    end_mask = [(1 << u) | (1 << v) for u, v in edges]
-    undecided = list(map(len, g.incidence))
+    # state[x] is twice the undecided edges at x plus the parity of the
+    # chosen ones: a vertex finalized odd reads exactly 1, and one that is
+    # finalized with no chosen edge reads 0.
+    state = [2 * len(eids) for eids in g.incidence]
     v3_mask = g.v3_mask
     # A list: mask shifts in the exclude step made fig4b(1) ~1.7x slower.
-    high = [d > 2 for d in undecided]
-    parity = [0] * n
-    inS = bytearray(m)
-    out = bytearray(m)
-    bdec = [0] * len(bsize)
-    binc = [0] * len(bsize)
+    high = [s > 4 for s in state]
     odd_total = 0
     budget = Budget(node_budget, time_limit)
+    tick = budget.tick
 
     # The items of a subgraph are its edges and its degree->=3 vertices; two
     # items link when a vertex of one lies in the radius-(k-1) ball of a
@@ -344,81 +350,58 @@ def find_witness(
     # excluded.  The class of a seed is then _flood(links, seed, alive), and
     # the items are mutually linkable, the proximity condition of
     # _proximity_ok, exactly when one class holds all their vertices.
-    links = ball if radius else _LiveLinks(g, out)
-
-    # Depth i decides edge order[i]: take[i] is the decision tried last
-    # (-1 none yet, 0 exclude, 1 include) and added[i] the odd vertices it
-    # finalized; each decision is undone before the next one is tried.
-    # After depth i the lookahead state is kept at index i+1: need_at, the
-    # vertices of the required items (chosen edges and degree->=3 vertices);
-    # alive_at, the vertices of every item still available (chosen and
-    # undecided edges, degree->=3 vertices); reach_at, the alive vertices
-    # linked to the required items (0 while there are none).
+    #
+    # take[i] is the decision tried last at depth i (-1 none yet, 0
+    # exclude, 1 include), and -1 again once the include is undone, so
+    # every depth deeper than the current one reads -1.  A depth is
+    # revisited only once every deeper decision is undone, so its ends read
+    # as its own decision left them.  After depth i the lookahead state is
+    # kept as look[i+1] = (need, alive, reach): need, the vertices of the
+    # required items (chosen edges and degree->=3 vertices); alive, the
+    # vertices of every item still available (chosen and undecided edges,
+    # degree->=3 vertices); reach, the alive vertices linked to the
+    # required items (0 while there are none).
     take = [-1] * m
-    added = [0] * m
-    need_at = [0] * (m + 1)
-    alive_at = [0] * (m + 1)
-    reach_at = [0] * (m + 1)
+    links = ball if radius else _LiveLinks(g, take, steps)
+    look = [None] * m
+    top = m - 1
     try:
-        budget.tick()
+        tick()
         if m == 0:
             return None
         # G is connected, so with every edge available all of its vertices
         # form one class, and the degree->=3 vertices always link at the root.
-        need_at[0] = v3_mask
-        alive_at[0] = (1 << n) - 1
-        if v3_mask:
-            reach_at[0] = alive_at[0]
+        alive = (1 << n) - 1
+        look[0] = (v3_mask, alive, alive if v3_mask else 0)
         i = 0
-        while i >= 0:
-            eid = order[i]
-            u, v = edges[eid]
-            bi = ebranch[eid]
+        while True:
+            _, u, v, em, last = steps[i]
             t = take[i]
-            if t >= 0:
-                if bi >= 0:
-                    bdec[bi] -= 1
-                    binc[bi] -= t
-                odd_total -= added[i]
+            if t < 0:
+                t = take[i] = 0
+                state[u] -= 2
+                state[v] -= 2
+            else:
+                odd_total -= (state[u] == 1) + (state[v] == 1)
                 if t:
-                    parity[u] ^= 1
-                    parity[v] ^= 1
-                    inS[eid] = 0
-                undecided[u] += 1
-                undecided[v] += 1
-                if t:
+                    state[u] = (state[u] ^ 1) + 2
+                    state[v] = (state[v] ^ 1) + 2
+                    take[i] = -1
+                    if not i:
+                        break
                     i -= 1
                     continue
-                out[eid] = 0
-            t += 1
-            take[i] = t
-            undecided[u] -= 1
-            undecided[v] -= 1
-            if t:
-                parity[u] ^= 1
-                parity[v] ^= 1
-                inS[eid] = 1
-            else:
-                out[eid] = 1
-            a = 0
-            if undecided[u] == 0 and parity[u]:
-                a += 1
-            if undecided[v] == 0 and parity[v]:
-                a += 1
-            added[i] = a
-            odd_total += a
-            viable = odd_total <= odd_budget
-            if bi >= 0:
-                bdec[bi] += 1
-                binc[bi] += t
-                if viable and bdec[bi] == bsize[bi] and binc[bi] == 0 and bbad[bi]:
-                    viable = False
-            if not viable:
+                state[u] ^= 1
+                state[v] ^= 1
+                t = take[i] = 1
+            odd_total += (state[u] == 1) + (state[v] == 1)
+            # A branch that fails when avoided fails at its last exclude
+            # when no edge of it is chosen.
+            if odd_total > odd_budget or last and not t and 1 not in take[i - last + 1:i]:
                 continue
             # Proximity lookahead: the required items must still link
             # through the available ones.
-            need, alive, reach = need_at[i], alive_at[i], reach_at[i]
-            em = end_mask[eid]
+            need, alive, reach = look[i]
             if t:
                 need |= em
                 if not reach:
@@ -429,9 +412,9 @@ def find_witness(
                 # An end of degree <= 2 leaves the items once its edges are
                 # all decided and none is chosen.
                 lost = near = 0
-                if not (undecided[u] or parity[u] or high[u]):
+                if not (state[u] or high[u]):
                     lost, near = 1 << u, ball[u]
-                if not (undecided[v] or parity[v] or high[v]):
+                if not (state[v] or high[v]):
                     lost |= 1 << v
                     near |= ball[v]
                 alive ^= lost
@@ -459,13 +442,13 @@ def find_witness(
                         reach = _flood(links, need & -need, alive)
                         if need & ~reach:
                             continue
-            budget.tick()
-            if i + 1 < m:
+            tick()
+            if i < top:
                 i += 1
-                take[i] = -1
-                need_at[i], alive_at[i], reach_at[i] = need, alive, reach
+                look[i] = need, alive, reach
             elif need:
-                candidate = _candidate(g, frozenset(compress(range(m), inS)))
+                chosen = frozenset([s[0] for s in compress(steps, take)])
+                candidate = _candidate(g, chosen)
                 if not all([v.ok for v in _verdicts(g, candidate, k, variant, blist)]):
                     raise GraphError(
                         "internal: search produced a candidate its own recheck rejects"

@@ -2,13 +2,14 @@
 
 import hashlib
 import json
+import random
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itline.budget import Unknown
+from itline.budget import Budget, Unknown
 from itline.eup import (
     VARIANT_EU,
     VARIANT_EUP,
@@ -185,10 +186,76 @@ def test_exhaustive_search_tree_is_pinned():
     # order (365,179 without).  On fig3(1,6), excluded stretches of the long
     # pendant branches cut their far ends off the required items, so its
     # 308-node tree also depends on the test that an include meets them.
-    for g, nodes in ((fig4b(1), 8_333), (fig3(1, 6), 308)):
-        starved = find_witness(g, 2, VARIANT_EUP, node_budget=nodes - 1)
+    # fig4b(2) has no EUP_3 witness, the proof behind hp(fig4b(2)) = 4, and
+    # the one exhaustive tree here at radius 2.
+    for g, k, nodes in ((fig4b(1), 2, 8_333), (fig3(1, 6), 2, 308), (fig4b(2), 3, 14_695)):
+        starved = find_witness(g, k, VARIANT_EUP, node_budget=nodes - 1)
         assert isinstance(starved, Unknown) and starved.budget_spent == nodes
-        assert find_witness(g, 2, VARIANT_EUP, node_budget=nodes) is None
+        assert find_witness(g, k, VARIANT_EUP, node_budget=nodes) is None
+
+
+def _seeded_multigraphs() -> list[MultiGraph]:
+    """300 connected multigraphs of 2-8 vertices in shuffled edge order: a
+    random spanning tree, which mostly extends a path so that branches are
+    long, with up to four extra edges, some of them parallel to an edge
+    already drawn; every tenth graph is a bare cycle."""
+    rng = random.Random(2029)
+    graphs = []
+    for i in range(300):
+        n = rng.randint(2, 8)
+        if i % 10 == 0:
+            edges = [(v, (v + 1) % n) for v in range(n)]
+        else:
+            edges = [(v - 1 if rng.random() < 0.6 else rng.randrange(v), v) for v in range(1, n)]
+            for _ in range(rng.randint(0, 4)):
+                pair = rng.choice(edges) if rng.random() < 0.3 else rng.sample(range(n), 2)
+                edges.append(tuple(pair))
+        rng.shuffle(edges)
+        graphs.append(MultiGraph(n, tuple(edges)))
+    return graphs
+
+
+# Summed node counts of find_witness over _seeded_multigraphs(), and the
+# sha256 of its first witnesses there in the same order as the keys.
+SEEDED_TREE_NODES = {
+    (1, VARIANT_EU): 2_399, (1, VARIANT_EUP): 2_322,
+    (2, VARIANT_EU): 1_973, (2, VARIANT_EUP): 2_195,
+    (3, VARIANT_EU): 2_062, (3, VARIANT_EUP): 2_152,
+}
+SEEDED_WITNESS_DIGEST = "8b3cf7ac478ff80b8f637fc7d60e87744e1eb71cca7fc9379f5aaadb3c03c392"
+
+
+def test_seeded_search_trees_are_pinned(monkeypatch):
+    # Every search tree at k = 1, 2, 3 under both variants, on parallel
+    # edges and bare cycles too; k = 1 is the radius-0 lookahead.  In each
+    # (k, variant) the largest tree is also cut one node short, which must
+    # give an Unknown that spent its full count.
+    spent = [0]
+    tick = Budget.tick
+
+    def counted(budget, n=1):
+        spent[0] += n
+        return tick(budget, n)
+
+    monkeypatch.setattr(Budget, "tick", counted)
+    graphs = _seeded_multigraphs()
+    totals, entries = {}, []
+    for key in SEEDED_TREE_NODES:
+        total, largest, hardest = 0, 0, None
+        for g in graphs:
+            spent[0] = 0
+            w = find_witness(g, *key)
+            assert not isinstance(w, Unknown)
+            entries.append(None if w is None else [sorted(w.edge_ids), sorted(w.extra_vertices)])
+            total += spent[0]
+            if spent[0] > largest:
+                largest, hardest = spent[0], g
+        totals[key] = total
+        starved = find_witness(hardest, *key, node_budget=largest - 1)
+        assert isinstance(starved, Unknown) and starved.budget_spent == largest
+    assert totals == SEEDED_TREE_NODES
+    blob = json.dumps(entries, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == SEEDED_WITNESS_DIGEST
 
 
 # sha256 of the first witnesses (sorted edge ids and isolated vertices, or
